@@ -3,37 +3,11 @@
 Paper shape: with only forward queries (no updates), exploiting the GMR
 is a factor ~4-5 gain, and cost grows linearly with the query count for
 both versions.
-
-The layout gate below additionally runs the sweep under both physical
-GMR layouts and writes ``BENCH_fig09.json`` at the repository root so
-the forward-query cost trajectory (rows vs. columnar) is tracked across
-PRs.  CI runs this module as the perf-smoke job and fails when the
-columnar store's gain over WithoutGMR drops below 5x, or when columnar
-regresses the rows layout on any sweep point.
 """
-
-import json
-import os
-import platform
 
 from _support import run_once, total_costs
 
 from repro.bench.cuboid import run_figure09
-
-_BENCH_JSON = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), os.pardir,
-    "BENCH_fig09.json",
-)
-
-#: Columnar must beat the unsupported version by at least this factor
-#: on total simulated cost (the ISSUE gate; rows measures ~17x and
-#: columnar ~18x at smoke scale, so 5x leaves headroom for CI noise
-#: without ever letting a real hot-path regression through).
-COLUMNAR_MIN_GAIN = 5.0
-#: Per-point tolerance for "columnar never loses to rows": the two
-#: layouts share the page-cost model, so anything beyond rounding noise
-#: is a genuine regression.
-_EPS = 1e-6
 
 _SWEEP = dict(cuboids=250, max_queries=200, step=50)
 
@@ -54,69 +28,6 @@ def test_fig09_sweep(benchmark):
     series = result.series_by_name("WithoutGMR")
     first, last = series.points[0], series.points[-1]
     assert last.logical_reads > 3 * first.logical_reads
-
-
-def test_fig09_layout_gate(benchmark):
-    """Rows vs. columnar on the identical Fig. 9 sweep, with the CI gate.
-
-    Emits ``BENCH_fig09.json`` as a side effect so the measured band is
-    committed alongside the code that produced it.
-    """
-    results = {
-        layout: run_figure09(layout=layout, **_SWEEP)
-        for layout in ("rows", "columnar")
-    }
-    # Timing is informational only; the gate is on simulated cost.
-    benchmark.pedantic(
-        lambda: run_figure09(layout="columnar", **_SWEEP),
-        rounds=1,
-        iterations=1,
-    )
-
-    payload = {
-        "benchmark": "fig09_forward_queries",
-        "schema_version": 1,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "sweep": dict(_SWEEP),
-        "layouts": {},
-    }
-    gains = {}
-    for layout, result in results.items():
-        totals = total_costs(result)
-        gains[layout] = totals["WithoutGMR"] / max(totals["WithGMR"], 1e-9)
-        payload["layouts"][layout] = {
-            "totals": {name: round(v, 4) for name, v in totals.items()},
-            "gain": round(gains[layout], 2),
-            "with_gmr_points": [
-                {"x": p.x, "sim_cost": round(p.sim_cost, 4)}
-                for p in result.series_by_name("WithGMR").points
-            ],
-        }
-    with open(_BENCH_JSON, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-
-    # Gate 1: the columnar layout must keep the materialized forward
-    # query at least 5x cheaper than evaluating from scratch.
-    assert gains["columnar"] >= COLUMNAR_MIN_GAIN, (
-        f"columnar gain {gains['columnar']:.2f}x fell below the "
-        f"{COLUMNAR_MIN_GAIN}x floor"
-    )
-    # Gate 2: columnar never regresses rows on any sweep point.
-    rows_points = results["rows"].series_by_name("WithGMR").points
-    col_points = results["columnar"].series_by_name("WithGMR").points
-    for rows_pt, col_pt in zip(rows_points, col_points):
-        assert col_pt.sim_cost <= rows_pt.sim_cost * (1.0 + _EPS), (
-            f"columnar costs {col_pt.sim_cost} at x={col_pt.x}, "
-            f"rows costs {rows_pt.sim_cost}"
-        )
-    # The baseline never touches a GMR: its cost must be bit-identical
-    # across layouts (anything else means the layout knob leaked into
-    # the unsupported version).
-    assert [p.sim_cost for p in results["rows"].series_by_name("WithoutGMR").points] == [
-        p.sim_cost for p in results["columnar"].series_by_name("WithoutGMR").points
-    ]
 
 
 def test_fig09_single_forward_query(benchmark, cuboid_app_factory):

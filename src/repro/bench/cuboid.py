@@ -339,27 +339,14 @@ def run_figure09(
     step: int = 50,
     seed: int = 7,
     paper_scale: bool = False,
-    layout: str = "rows",
 ) -> FigureResult:
     """Figure 9: the cost of forward queries (no updates at all).
 
     Expected: the GMR constitutes a gain of roughly a factor 4–5.
-    ``layout`` selects the physical GMR store for the WithGMR version
-    (``"rows"`` or ``"columnar"``); the WithoutGMR baseline never
-    touches a GMR, so its cost is layout-independent by construction.
     """
     if paper_scale:
         cuboids, max_queries, step = PAPER_CUBOIDS, 2000, 200
-    if layout == "rows":
-        config = CuboidConfig(cuboids=cuboids, seed=seed)
-    else:
-        from repro.observe.config import MaterializationConfig
-
-        config = CuboidConfig(
-            cuboids=cuboids,
-            seed=seed,
-            materialization=MaterializationConfig(layout=layout),
-        )
+    config = CuboidConfig(cuboids=cuboids, seed=seed)
     points = [
         (
             float(count),

@@ -30,6 +30,8 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator
 
+from repro.concurrency.sharding import cached_stable_hash
+
 
 class RWLock:
     """A reader-writer lock with writer preference.
@@ -104,11 +106,7 @@ class StripedRWLock:
         if stripes < 1:
             raise ValueError("StripedRWLock needs at least one stripe")
         self._stripes = tuple(RWLock() for _ in range(stripes))
-        # Imported here, not at module scope: repro.util.interning pulls
-        # in the sharding/GOM layers, which import this module back.
-        from repro.util.interning import interned_hash
-
-        self._hash = interned_hash
+        self._hash = cached_stable_hash
 
     def _stripe(self, key: object) -> RWLock:
         return self._stripes[self._hash(key) % len(self._stripes)]

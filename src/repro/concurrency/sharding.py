@@ -26,6 +26,7 @@ integer identity (not their Python object identity).
 
 from __future__ import annotations
 
+import threading
 import zlib
 
 from repro.gom.oid import Oid
@@ -67,8 +68,34 @@ def stable_hash(value: object) -> int:
     return zlib.crc32(_canonical(value).encode("utf-8"))
 
 
+#: Wholesale-clear threshold of the argument-tuple hash memo, so bases
+#: with churning extensions cannot grow it without bound.
+_TUPLE_MEMO_LIMIT = 65536
+_tuple_hashes: dict[tuple, int] = {}
+_tuple_hashes_lock = threading.Lock()
+
+
+def cached_stable_hash(value: object) -> int:
+    """:func:`stable_hash`, memoized for argument tuples.
+
+    The shard router and the striped GMR-entry locks hash the same
+    argument tuples on every schedule and every lock acquisition; the
+    memo skips the CRC on a repeat and never changes its value.
+    """
+    if not isinstance(value, tuple):
+        return stable_hash(value)
+    cached = _tuple_hashes.get(value)
+    if cached is None:
+        cached = stable_hash(value)
+        with _tuple_hashes_lock:
+            if len(_tuple_hashes) >= _TUPLE_MEMO_LIMIT:
+                _tuple_hashes.clear()
+            _tuple_hashes[value] = cached
+    return cached
+
+
 def shard_of(args: object, shards: int) -> int:
     """The shard index owning ``args`` (always 0 when unsharded)."""
     if shards <= 1:
         return 0
-    return stable_hash(args) % shards
+    return cached_stable_hash(args) % shards

@@ -8,85 +8,11 @@ materialized functions whose ``RelAttr`` contains it.
 Functions whose bodies could not be analyzed statically are kept in an
 *always-relevant* set that every lookup includes, so no invalidation is
 ever missed.
-
-:class:`UpdatePlan` / :class:`FidPlan` are the precompiled flat form of
-the same information: one frozen record per ``(declaring type, attr)``
-update key and one per function id, so the per-update hot path costs a
-single dict lookup instead of rebuilding SchemaDepFct sets and chasing
-strategy attributes on every notification.  The plans are compiled and
-cached by :class:`~repro.core.manager.GMRManager`; :attr:`version` lets
-the manager detect index mutations and drop stale plans.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.core.function_registry import FunctionInfo
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.gmr import GMR
-
-
-class FidPlan:
-    """Precompiled per-fid invalidation dispatch record.
-
-    Flattens everything :meth:`GMRManager.invalidate` would otherwise
-    re-derive per wave per fid — the owning GMR, whether the fid is the
-    GMR's restriction-predicate pseudo function, and the strategy
-    branch (eager remat / mark-only / mark-and-schedule).
-    """
-
-    __slots__ = ("fid", "gmr", "is_predicate", "marks_only", "deferred")
-
-    def __init__(
-        self,
-        fid: str,
-        gmr: "GMR",
-        *,
-        is_predicate: bool,
-        marks_only: bool,
-        deferred: bool,
-    ) -> None:
-        self.fid = fid
-        self.gmr = gmr
-        self.is_predicate = is_predicate
-        self.marks_only = marks_only
-        self.deferred = deferred
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        kind = (
-            "predicate"
-            if self.is_predicate
-            else ("deferred" if self.deferred else
-                  "lazy" if self.marks_only else "eager")
-        )
-        return f"FidPlan({self.fid!r}, {kind})"
-
-
-class UpdatePlan:
-    """Precompiled invalidation plan for one elementary update key.
-
-    ``fids`` is the cached ``SchemaDepFct(decl_type.set_attr)`` result;
-    ``entries`` the matching :class:`FidPlan` records in deterministic
-    (sorted-fid) order.  Compiled lazily per update key and cached by
-    the manager until the dependency index or GMR registry changes.
-    """
-
-    __slots__ = ("key", "fids", "entries")
-
-    def __init__(
-        self,
-        key: tuple[str, str],
-        fids: frozenset[str],
-        entries: tuple[FidPlan, ...],
-    ) -> None:
-        self.key = key
-        self.fids = fids
-        self.entries = entries
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"UpdatePlan({self.key!r}, fids={sorted(self.fids)})"
 
 
 class DependencyIndex:
@@ -96,10 +22,6 @@ class DependencyIndex:
         self._by_update: dict[tuple[str, str], set[str]] = {}
         self._always: set[str] = set()
         self._pairs_by_fid: dict[str, frozenset[tuple[str, str]]] = {}
-        #: Monotonic mutation counter.  Plan caches remember the version
-        #: they were compiled against and rebuild on mismatch, so even
-        #: direct index mutations can never leave a stale plan behind.
-        self.version = 0
 
     def add_function(self, info: FunctionInfo) -> None:
         self.add_pairs(info.fid, info.relevant_attrs)
@@ -108,7 +30,6 @@ class DependencyIndex:
         self, fid: str, pairs: frozenset[tuple[str, str]] | None
     ) -> None:
         """Register ``RelAttr`` pairs for ``fid`` (None = unknown)."""
-        self.version += 1
         if pairs is None:
             self._always.add(fid)
             self._pairs_by_fid[fid] = frozenset()
@@ -118,7 +39,6 @@ class DependencyIndex:
             self._by_update.setdefault(pair, set()).add(fid)
 
     def remove_function(self, fid: str) -> None:
-        self.version += 1
         self._always.discard(fid)
         pairs = self._pairs_by_fid.pop(fid, frozenset())
         for pair in pairs:

@@ -29,7 +29,7 @@ from repro.core.function_registry import FunctionInfo
 from repro.core.restricted import RestrictionSpec
 from repro.core.strategies import Strategy
 from repro.errors import GMRDefinitionError
-from repro.storage.gmr_store import ColumnarGMRStore, GMRRow, GMRStore
+from repro.storage.gmr_store import GMRRow, GMRStore
 from repro.util.tables import format_table
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,7 +52,6 @@ class GMR:
         name: str | None = None,
         capacity: int | None = None,
         row_placement: str = "separate",
-        layout: str = "rows",
     ) -> None:
         if not functions:
             raise GMRDefinitionError("a GMR needs at least one function")
@@ -99,16 +98,7 @@ class GMR:
                 f"(use 'separate' or 'with_arguments')"
             )
         self.row_placement = row_placement
-        if layout == "rows":
-            store_cls = GMRStore
-        elif layout == "columnar":
-            store_cls = ColumnarGMRStore
-        else:
-            raise GMRDefinitionError(
-                f"unknown GMR layout {layout!r} (use 'rows' or 'columnar')"
-            )
-        self.layout = layout
-        self.store = store_cls(
+        self.store = GMRStore(
             self.name,
             arg_count=len(arg_types),
             fct_count=len(functions),
@@ -230,9 +220,7 @@ class GMR:
         """One cell of one entry: ``(value, valid, exists)``.
 
         The forward-query fast path — equivalent to :meth:`lookup` plus
-        column reads, but the columnar layout answers it without
-        constructing a row view.  Keeps LRU recency exactly like
-        :meth:`lookup`.
+        column reads.  Keeps LRU recency exactly like :meth:`lookup`.
         """
         cell = self.store.probe(args, self.column_of(fid))
         if cell[2] and self.capacity is not None:
@@ -260,7 +248,7 @@ class GMR:
 
     def mark_invalid_many(self, args_iter, fid: str) -> list[tuple]:
         """Batch :meth:`mark_invalid`; returns the args that transitioned."""
-        return self.store.mark_invalid_many(self.column_of(fid), args_iter)
+        return self.store.mark_invalid_many(args_iter, self.column_of(fid))
 
     def result(self, args: tuple, fid: str) -> tuple[Any, bool]:
         """``(value, valid)`` for one entry; raises if the row is absent."""

@@ -29,8 +29,6 @@ from itertools import product
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.concurrency.sharding import ShardCommitConflict, shard_of
-from repro.util.interning import interned_shard_of
-
 from repro.core.batch import (
     CreateEvent,
     FlushReport,
@@ -42,7 +40,7 @@ from repro.core.batch import (
 from repro.core.breaker import CircuitBreaker
 from repro.core.compensation import CompensatingAction, CompensationTable
 from repro.core.delta import AggregateSpec, DeltaEngine, DeltaSpec
-from repro.core.dependencies import DependencyIndex, FidPlan, UpdatePlan
+from repro.core.dependencies import DependencyIndex
 from repro.core.function_registry import FunctionInfo, function_id
 from repro.core.gmr import GMR
 from repro.core.guard import ExecutionGuard, FaultPolicy
@@ -201,20 +199,6 @@ class GMRManager:
         self._gmr_of_fid: dict[str, GMR] = {}
         self._op_dispatch: dict[tuple[str, str], str] = {}
         self._deps = DependencyIndex()
-        # -- precompiled invalidation plans ----------------------------
-        #: Gate for the plan caches below.  Read from
-        #: ``config.invalidation_plans`` here and refreshed by
-        #: :meth:`invalidate_plans`; ``False`` keeps the per-update
-        #: SchemaDepFct scan (the pre-plan baseline).
-        self._plans_on = db.config.invalidation_plans
-        #: ``fid -> FidPlan`` (``None`` = fid has no GMR), compiled
-        #: lazily; consulted once per fid per wave.
-        self._fid_plans: dict[str, FidPlan | None] = {}
-        #: ``(decl_type, attr) -> UpdatePlan`` — the flattened
-        #: SchemaDepFct lookup used by the elementary-update hot path.
-        self._update_plans: dict[tuple[str, str], UpdatePlan] = {}
-        #: Dependency-index version the caches were compiled against.
-        self._plan_epoch = 0
         self._rrr = ReverseReferenceRelation(db.page_store, db.buffer)
         self._ca = CompensationTable()
         #: The generalized incremental maintenance engine (delta
@@ -352,8 +336,7 @@ class GMRManager:
         schedulers = self.schedulers
         if len(schedulers) == 1:
             return self.scheduler
-        # interned_shard_of == shard_of with the CRC cached per tuple.
-        return schedulers[interned_shard_of(args, self._shards)]
+        return schedulers[shard_of(args, self._shards)]
 
     def scheduler_pending_for(self, fid: str) -> int:
         """Queued entries of ``fid`` summed across every shard."""
@@ -452,19 +435,6 @@ class GMRManager:
         :class:`~repro.observe.config.MaterializationConfig`)."""
         return self._db.config.fault_policy
 
-    @fault_policy.setter
-    def fault_policy(self, policy: FaultPolicy) -> None:
-        warnings.warn(
-            "assigning manager.fault_policy is deprecated; pass "
-            "MaterializationConfig(fault_policy=...) to ObjectBase or "
-            "mutate db.config.fault_policy in place",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._db.config.fault_policy = policy
-        self.guard.policy = policy
-        self.breaker.policy = policy
-
     def _tally(self, fid: str) -> dict[str, int]:
         tally = self.fid_tallies.get(fid)
         if tally is None:
@@ -527,7 +497,6 @@ class GMRManager:
         populate: bool = True,
         capacity: int | None = None,
         row_placement: str = "separate",
-        layout: str | None = None,
     ) -> GMR:
         """Create the GMR ``⟨⟨f1, ..., fm⟩⟩`` and (optionally) populate it.
 
@@ -536,13 +505,10 @@ class GMRManager:
         objects.  ``complete=False`` creates an incrementally set up GMR
         (a result cache, Sec. 3.2); ``capacity`` bounds such a cache with
         LRU replacement.  ``strategy=None`` uses the object base's
-        configured default (``db.config.strategy``); ``layout=None``
-        likewise falls back to ``db.config.layout``.
+        configured default (``db.config.strategy``).
         """
         if strategy is None:
             strategy = self._db.config.strategy
-        if layout is None:
-            layout = getattr(self._db.config, "layout", "rows")
         infos = [self._resolve_function(spec) for spec in functions]
         for info in infos:
             if info.fid in self._gmr_of_fid:
@@ -561,7 +527,6 @@ class GMRManager:
             name=name,
             capacity=capacity,
             row_placement=row_placement,
-            layout=layout,
         )
         if gmr.name in self._gmrs:
             raise GMRDefinitionError(f"a GMR named {gmr.name} already exists")
@@ -587,10 +552,6 @@ class GMRManager:
             # Atomic-only restriction: still track the pseudo function so
             # forget_object can clean rows via predicate RRR entries.
             self._gmr_of_fid[gmr.predicate_fid] = gmr
-        # The fid registry changed: precompiled invalidation plans are
-        # stale (the dependency-index version alone misses SNAPSHOT and
-        # atomic-restriction registrations, which add no pairs).
-        self.invalidate_plans()
 
         if complete and populate:
             self._populate(gmr)
@@ -680,80 +641,6 @@ class GMRManager:
 
     def relevant_attrs(self, fid: str) -> frozenset[tuple[str, str]]:
         return self._deps.relevant_attrs(fid)
-
-    # ------------------------------------------------------------------
-    # Precompiled invalidation plans
-    # ------------------------------------------------------------------
-
-    def invalidate_plans(self) -> None:
-        """Drop every precompiled invalidation plan.
-
-        Called on GMR registry change (:meth:`materialize`) and on
-        schema change (``ObjectBase._invalidate_plan_cache``); also
-        re-reads ``config.invalidation_plans`` so the flag can be
-        toggled on a live base.
-        """
-        self._fid_plans.clear()
-        self._update_plans.clear()
-        self._plan_epoch = self._deps.version
-        self._plans_on = self._db.config.invalidation_plans
-
-    def _check_plan_epoch(self) -> None:
-        """Rebuild-on-mismatch guard against direct index mutation."""
-        if self._plan_epoch != self._deps.version:
-            self._fid_plans.clear()
-            self._update_plans.clear()
-            self._plan_epoch = self._deps.version
-
-    def _fid_plan(self, fid: str) -> FidPlan | None:
-        """The cached :class:`FidPlan` for ``fid`` (None = no GMR).
-
-        Callers must have validated the plan epoch for the current
-        wave (:meth:`_check_plan_epoch`).
-        """
-        plans = self._fid_plans
-        try:
-            return plans[fid]
-        except KeyError:
-            pass
-        gmr = self._gmr_of_fid.get(fid)
-        if gmr is None:
-            plan = None
-        else:
-            strategy = gmr.strategy
-            plan = FidPlan(
-                fid,
-                gmr,
-                is_predicate=(fid == gmr.predicate_fid),
-                marks_only=strategy.marks_only,
-                deferred=strategy is Strategy.DEFERRED,
-            )
-        plans[fid] = plan
-        return plan
-
-    def update_plan(self, decl_type: str, attr: str) -> UpdatePlan | None:
-        """The precompiled plan for the update ``decl_type.set_attr``.
-
-        Returns ``None`` when plans are disabled
-        (``config.invalidation_plans=False``), which tells the caller
-        to fall back to the per-update SchemaDepFct scan.  ``plan.fids``
-        equals :meth:`schema_dep_fct` for the same key by construction.
-        """
-        if not self._plans_on:
-            return None
-        self._check_plan_epoch()
-        plan = self._update_plans.get((decl_type, attr))
-        if plan is None:
-            key = (decl_type, attr)
-            fids = self._deps.schema_dep_fct(decl_type, attr)
-            entries = tuple(
-                fp
-                for fid in sorted(fids)
-                if (fp := self._fid_plan(fid)) is not None
-            )
-            plan = UpdatePlan(key, fids, entries)
-            self._update_plans[key] = plan
-        return plan
 
     # ------------------------------------------------------------------
     # Population and (re-)materialization
@@ -1126,26 +1013,13 @@ class GMRManager:
             and self._db.config.batching
         )
 
-    @batching.setter
-    def batching(self, value: bool) -> None:
-        warnings.warn(
-            "assigning manager.batching is deprecated; set "
-            "MaterializationConfig.batching (db.config.batching) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._db.config.batching = bool(value)
-
     @property
     def batch_conservative(self) -> bool:
         """Whether batch-mode notifications must skip the ObjDepFct
-        filter — either because a create adaptation is pending (markings
-        of in-batch objects are not materialized yet, see
-        :attr:`InvalidationQueue.has_creates`) or because
-        ``db.config.batch_conservative`` forces it."""
-        return self.batching and (
-            self._queue.has_creates or self._db.config.batch_conservative
-        )
+        filter: a create adaptation is pending, so markings of in-batch
+        objects are not materialized yet (see
+        :attr:`InvalidationQueue.has_creates`)."""
+        return self.batching and self._queue.has_creates
 
     def batch(self) -> UpdateBatch:
         """Open a batched-maintenance scope (see :mod:`repro.core.batch`).
@@ -1399,9 +1273,6 @@ class GMRManager:
         )
         affected = 0
         probes = 0
-        plans_on = self._plans_on
-        if plans_on:
-            self._check_plan_epoch()
         # A *pure marks-only* wave — every relevant function dispatches
         # to the LAZY/DEFERRED mark path, so nothing inside the loop can
         # insert fresh RRR entries for a later fid — takes the grouped
@@ -1413,20 +1284,12 @@ class GMRManager:
         if self.rrr_policy != "second_chance" and len(relevant) > 1:
             pure_marks = True
             for fid in relevant:
-                if plans_on:
-                    plan = self._fid_plan(fid)
-                    if plan is not None and (
-                        plan.is_predicate or not plan.marks_only
-                    ):
-                        pure_marks = False
-                        break
-                else:
-                    gmr = self._gmr_of_fid.get(fid)
-                    if gmr is not None and (
-                        fid == gmr.predicate_fid or not gmr.strategy.marks_only
-                    ):
-                        pure_marks = False
-                        break
+                gmr = self._gmr_of_fid.get(fid)
+                if gmr is not None and (
+                    fid == gmr.predicate_fid or not gmr.strategy.marks_only
+                ):
+                    pure_marks = False
+                    break
             if pure_marks:
                 grouped = self._rrr_pop_args_grouped(oid, relevant)
         try:
@@ -1447,34 +1310,21 @@ class GMRManager:
                 self._obs_probe(fid, len(args_set))
                 if not args_set:
                     continue
-                if plans_on:
-                    plan = self._fid_plan(fid)
-                    if plan is None:
-                        continue
-                    gmr = plan.gmr
-                    is_predicate = plan.is_predicate
-                    marks_only = plan.marks_only
-                    deferred = plan.deferred
-                else:
-                    gmr = self._gmr_of_fid.get(fid)
-                    if gmr is None:
-                        continue
-                    is_predicate = fid == gmr.predicate_fid
-                    marks_only = gmr.strategy.marks_only
-                    deferred = gmr.strategy is Strategy.DEFERRED
+                gmr = self._gmr_of_fid.get(fid)
+                if gmr is None:
+                    continue
                 before = affected
-                if is_predicate:
+                if fid == gmr.predicate_fid:
                     for args in args_set:
                         self._predicate_update_safe(gmr, args)
                         affected += 1
-                elif marks_only:
+                elif gmr.strategy.marks_only:
                     # A missing row is a blind reference (Sec. 4.2): the
                     # popped entry was the stale leftover; nothing to do.
-                    # ``mark_invalid_many`` resolves the batch in one
-                    # pass (columnar: over the flag arrays) and returns
-                    # the entries that actually transitioned.
+                    # ``mark_invalid_many`` returns the entries that
+                    # actually transitioned.
                     changed = gmr.mark_invalid_many(args_set, fid)
-                    if deferred:
+                    if gmr.strategy is Strategy.DEFERRED:
                         for args in changed:
                             self._scheduler_for(args).schedule(gmr, fid, args)
                     reason = f"invalidated via={via}"

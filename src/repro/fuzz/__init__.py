@@ -7,7 +7,7 @@ the geometry and company domains.  The differential oracle
 (:mod:`repro.fuzz.oracle`) replays each script against an
 *unmaterialized* reference base and a matrix of materialized
 configurations (instrumentation level × strategy × batching × workers
-× invalidation plans × shards) and asserts that
+× maintenance × shards) and asserts that
 
 * every query returns the same result everywhere,
 * the final object extensions are identical, and

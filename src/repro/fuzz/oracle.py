@@ -4,9 +4,9 @@ Each script is replayed once against an *unmaterialized* reference base
 (``materialize`` steps skipped — every query evaluates from scratch)
 and then against a rotating subset of the full configuration matrix:
 
-    level × strategy × batching × workers × plans × maintenance × layout × shards
-    {NAIVE, SCHEMA_DEP,  {IMMEDIATE, {on,off} {0, 2} {on,off} {recompute, {rows,     {1, 4}
-     OBJ_DEP,             LAZY,                                delta}      columnar}
+    level × strategy × batching × workers × maintenance × shards
+    {NAIVE, SCHEMA_DEP,  {IMMEDIATE, {on,off} {0, 2} {recompute, {1, 4}
+     OBJ_DEP,             LAZY,                       delta}
      INFO_HIDING}         DEFERRED}
 
 (``NONE`` never notifies and ``SNAPSHOT`` is stale by design — both
@@ -50,10 +50,8 @@ class OracleConfig:
     strategy: Strategy
     batching: bool
     workers: int
-    plans: bool
     shards: int = 1
     maintenance: str = "compensate"
-    layout: str = "rows"
 
     @property
     def name(self) -> str:
@@ -61,9 +59,7 @@ class OracleConfig:
             f"{self.level.name.lower()}/{self.strategy.name.lower()}"
             f"/batch={'on' if self.batching else 'off'}"
             f"/workers={self.workers}"
-            f"/plans={'on' if self.plans else 'off'}"
             f"/maint={self.maintenance}"
-            f"/layout={self.layout}"
             f"/shards={self.shards}"
         )
 
@@ -73,10 +69,8 @@ class OracleConfig:
             strategy=self.strategy,
             batching=self.batching,
             workers=self.workers,
-            invalidation_plans=self.plans,
             shards=self.shards,
             maintenance=self.maintenance,
-            layout=self.layout,
         )
 
 
@@ -98,18 +92,13 @@ class OracleFailure:
 
 
 def all_configs() -> tuple[OracleConfig, ...]:
-    """The full matrix (768 configurations), in a fixed order.
+    """The full matrix (192 configurations), in a fixed order.
 
-    The shards axis is the innermost factor, so the first half of every
-    rotating window pairs each ``shards=1`` point with its ``shards=4``
-    sibling — a corpus replayed on any contiguous slice exercises both
-    the unsharded and the sharded engine for the same level/strategy
-    combination.  The layout axis sits just outside it: ``"rows"`` is
-    the classic per-row GMR store, ``"columnar"`` the array-backed
-    struct-of-arrays store — any contiguous 4-wide window pairs each
-    rows point with its columnar sibling, so a smoke run differentially
-    exercises both physical layouts for the same logical configuration.
-    Outside that sits maintenance: ``"recompute"`` is pure
+    The shards axis is the innermost factor, so every rotating window
+    pairs each ``shards=1`` point with its ``shards=4`` sibling — a
+    script replayed on any contiguous slice exercises both the
+    unsharded and the sharded engine for the same level/strategy
+    combination.  Outside that sits maintenance: ``"recompute"`` is pure
     invalidate-then-recompute, ``"delta"`` patches aggregate GMR
     entries in place via the delta engine (the replayer declares the
     domains' default deltas) — both must agree with the unmaterialized
@@ -121,20 +110,15 @@ def all_configs() -> tuple[OracleConfig, ...]:
             strategy=strategy,
             batching=batching,
             workers=workers,
-            plans=plans,
             maintenance=maintenance,
-            layout=layout,
             shards=shards,
         )
-        for level, strategy, batching, workers, plans, maintenance, layout,
-        shards in product(
+        for level, strategy, batching, workers, maintenance, shards in product(
             _LEVELS,
             _STRATEGIES,
             (True, False),
             (0, 2),
-            (True, False),
             ("recompute", "delta"),
-            ("rows", "columnar"),
             (1, 4),
         )
     )
@@ -143,9 +127,9 @@ def all_configs() -> tuple[OracleConfig, ...]:
 def configs_for_script(index: int, per_script: int = 4) -> tuple[OracleConfig, ...]:
     """A rotating window over the matrix.
 
-    Consecutive script indices cover disjoint (mod 768) windows, so a
-    ~192-script smoke run at the default width visits every
-    configuration at least once.
+    Consecutive script indices cover disjoint (mod 192) windows, so a
+    200-script smoke run at the default width visits every
+    configuration about four times.
     """
     matrix = all_configs()
     start = index * per_script

@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-import warnings
 from contextlib import contextmanager, nullcontext
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
@@ -108,13 +107,10 @@ class ObjectBase:
             if level is not None:
                 config = dataclasses.replace(config, level=level)
         elif level is not None:
-            warnings.warn(
-                "passing both level= and config= to ObjectBase is "
-                "deprecated; set MaterializationConfig(level=...) only",
-                DeprecationWarning,
-                stacklevel=2,
+            raise ValueError(
+                "pass either level= or config=, not both; set "
+                "MaterializationConfig(level=...)"
             )
-            config = dataclasses.replace(config, level=level)
         #: The unified configuration surface (strategy, batching, fault
         #: policy, observability) — see :mod:`repro.observe.config`.
         self.config = config
@@ -333,11 +329,6 @@ class ObjectBase:
     def _invalidate_plan_cache(self) -> None:
         self._member_plans.clear()
         self._strict_cache.clear()
-        if self._gmr is not None:
-            # Schema changes can alter restriction-predicate RelAttr
-            # typing and member dispatch; drop the manager's precompiled
-            # invalidation plans alongside the member-plan caches.
-            self._gmr.invalidate_plans()
 
     # ------------------------------------------------------------------
     # Materialization wiring
@@ -1165,13 +1156,7 @@ class ObjectBase:
             # Figure 4: notify unconditionally; manager does the RRR lookup.
             gmr.invalidate(obj.oid, None, exclude=exclude, via="naive")
             return
-        plan = gmr.update_plan(decl_type, attr)
-        if plan is not None:
-            # Precompiled path: one cached dict lookup replaces the
-            # per-update SchemaDepFct set construction.
-            schema_dep = plan.fids
-        else:
-            schema_dep = gmr.schema_dep_fct(decl_type, attr)
+        schema_dep = gmr.schema_dep_fct(decl_type, attr)
         if not schema_dep:
             return
         if level is InstrumentationLevel.SCHEMA_DEP:
@@ -1180,7 +1165,8 @@ class ObjectBase:
             )
             return
         # OBJ_DEP and INFO_HIDING (the latter for non-suppressed updates):
-        if gmr.batch_conservative:
+        conservative = gmr.batch_conservative
+        if conservative:
             # A create adaptation is pending in the open batch, so
             # ObjDepFct markings are not up to date — notify at
             # SchemaDepFct granularity; the flush-time RRR probe drops
@@ -1402,7 +1388,8 @@ class ObjectBase:
 
         if post_invalidate and gmr is not None:
             invalidates = self._invalidated_fct(obj.type_name, op_name)
-            if gmr.batch_conservative:
+            conservative = gmr.batch_conservative
+            if conservative:
                 relevant = invalidates - compensated
             else:
                 relevant = (obj.obj_dep_fct & invalidates) - compensated

@@ -9,10 +9,9 @@ collects them into one keyword-only dataclass accepted by
 ``ObjectBase(config=...)``; :class:`ObserveConfig` is its observability
 corner (tracing on/off, sinks, metrics on/off).
 
-The legacy spellings still work for one release behind shims
-(``ObjectBase(level=...)``, the ``manager.fault_policy`` /
-``manager.batching`` setters) — see the migration table in
-``docs/API.md``.
+``ObjectBase(level=...)`` alone stays as shorthand for
+``MaterializationConfig(level=...)``; the removed spellings are listed
+in the migration table in ``docs/API.md``.
 """
 
 from __future__ import annotations
@@ -81,18 +80,6 @@ class MaterializationConfig:
     #: into the coalescing queue.  ``False`` turns batch scopes into
     #: pass-throughs (every notification processes eagerly).
     batching: bool = True
-    #: Force batched notifications to SchemaDepFct granularity even
-    #: when no create adaptation is pending (the always-conservative
-    #: variant; normally conservatism is inferred per batch).
-    batch_conservative: bool = False
-    #: Use precompiled per-update invalidation plans (cached
-    #: SchemaDepFct → FidPlan records, one dict lookup per elementary
-    #: update).  ``False`` restores the per-update dependency-index
-    #: scan — the pre-plan baseline kept for the ablation benchmark and
-    #: for differential testing of the plan compiler.  Flipping the
-    #: flag on a live base takes effect after
-    #: ``db.gmr_manager.invalidate_plans()``.
-    invalidation_plans: bool = True
     #: The fault-tolerance pipeline's knobs (guard, retry, breaker).
     fault_policy: FaultPolicy = field(default_factory=FaultPolicy)
     #: Observability settings (tracing, metrics, sinks).
@@ -132,14 +119,6 @@ class MaterializationConfig:
     #: falling back to compensation and then invalidation per the
     #: lattice in ``docs/DESIGN.md``.
     maintenance: str = "compensate"
-    #: Physical GMR layout.  ``"rows"`` (the default) keeps the per-row
-    #: object store bit-for-bit; ``"columnar"`` stores every extension
-    #: as struct-of-arrays (:class:`~repro.storage.gmr_store.ColumnarGMRStore`)
-    #: — interned-OID key columns, per-function result/flag arrays, and
-    #: vectorized batch probes on the forward-query and invalidation hot
-    #: paths.  Identical semantics (held by the layout axis of the fuzz
-    #: matrix); see ``docs/PERFORMANCE.md`` for when columnar wins.
-    layout: str = "rows"
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -150,10 +129,6 @@ class MaterializationConfig:
             raise ValueError(
                 "maintenance must be one of 'recompute', 'compensate', "
                 f"'delta'; got {self.maintenance!r}"
-            )
-        if self.layout not in ("rows", "columnar"):
-            raise ValueError(
-                f"layout must be 'rows' or 'columnar'; got {self.layout!r}"
             )
 
 

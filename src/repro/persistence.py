@@ -205,7 +205,6 @@ def to_document(db: "ObjectBase") -> dict:
                     "complete": gmr.complete,
                     "strategy": gmr.strategy.value,
                     "storage": gmr.store.storage,
-                    "layout": gmr.store.layout,
                     "capacity": gmr.capacity,
                     "row_placement": gmr.row_placement,
                     "restricted": gmr.restriction is not None,
@@ -352,10 +351,6 @@ def from_document(
             name=entry["name"],
             capacity=entry.get("capacity"),
             row_placement=entry.get("row_placement", "separate"),
-            # Older documents lack the field: ``None`` falls back to the
-            # base's configured layout.  A document that records one
-            # reopens with exactly the layout it was written under.
-            layout=entry.get("layout"),
             restriction=restriction,
             populate=False,
         )

@@ -29,7 +29,7 @@ from repro.storage.pages import BufferManager, CostModel, PageStore
 from repro.storage.btree import BPlusTree
 from repro.storage.hashindex import HashIndex
 from repro.storage.gridfile import GridFile
-from repro.storage.gmr_store import ColumnarGMRStore, GMRStore
+from repro.storage.gmr_store import GMRStore
 
 __all__ = [
     "BufferManager",
@@ -46,5 +46,4 @@ __all__ = [
     "HashIndex",
     "GridFile",
     "GMRStore",
-    "ColumnarGMRStore",
 ]

@@ -18,7 +18,6 @@ lookups never return stale values.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from typing import Any
@@ -76,10 +75,6 @@ class GMRRow:
 
 class GMRStore:
     """Row storage plus access paths for one GMR."""
-
-    #: Physical layout tag; persisted per GMR so checkpoints reopen with
-    #: the layout they were written under.
-    layout = "rows"
 
     def __init__(
         self,
@@ -252,12 +247,6 @@ class GMRStore:
             had_all = all(row.valid)
             if row.valid[fct_index]:
                 self._index_remove(row, fct_index, had_all=had_all)
-            elif self.storage == "mds" and had_all:
-                pass  # cannot happen: invalid flag contradicts had_all
-            elif self.storage == "mds" and self._mds is not None:
-                # The row was not fully valid, so it is not in the MDS
-                # yet; nothing to remove.
-                pass
             row.results[fct_index] = value
             row.valid[fct_index] = True
             if row.support:
@@ -350,9 +339,8 @@ class GMRStore:
         """One function cell: ``(result, valid, exists)``.
 
         The forward-query hot path: callers need exactly one column of
-        one entry, not a whole row.  The row layout answers it through
-        :meth:`get` (same page touch as before); the columnar layout
-        overrides it with a direct array probe.
+        one entry, not a whole row.  Costs one row-page touch, like
+        :meth:`get`.
         """
         row = self.get(args)
         if row is None:
@@ -381,14 +369,14 @@ class GMRStore:
         return [self.probe(args, fct_index) for args in args_list]
 
     def mark_invalid_many(
-        self, fct_index: int, args_iter: Iterable[tuple]
+        self, args_iter: Iterable[tuple], fct_index: int
     ) -> list[tuple]:
         """Batch :meth:`mark_invalid`; returns the args that transitioned.
 
         The invalidation wave marks every affected entry of one function
-        in a row — the row layout keeps the per-entry loop (and its
-        per-entry locking), the columnar layout resolves the batch in
-        one pass over the flag arrays.
+        in one call; each entry is still locked and marked on its own.
+        Absent rows (blind references, Sec. 4.2) and already invalid
+        cells are skipped.
         """
         return [args for args in args_iter if self.mark_invalid(args, fct_index)]
 
@@ -462,459 +450,6 @@ class GMRStore:
         result = []
         for args, row in self._rows.items():
             if row.valid[fct_index] and self._mds_point(row) is None:
-                result.append(args)
-        return result
-
-
-#: Columnar key cells hold one interned id per argument (a machine word).
-_KEY_CELL_SIZE = 8
-
-
-class ColumnarGMRStore(GMRStore):
-    """Struct-of-arrays GMR storage (``layout="columnar"``).
-
-    The row layout keeps one Python object per entry; every probe is a
-    dict hop plus attribute reads, and every entry occupies a full
-    ``_ROW_BASE_SIZE + (n+m) * _FIELD_SIZE`` row on its page.  The
-    columnar layout shreds the extension into parallel arrays:
-
-    * ``_arg_ids`` — one ``array('q')`` per argument position holding
-      interned ids (:data:`repro.util.interning.INTERN`), placed as
-      8-byte cells in a dedicated key segment;
-    * ``_res`` / ``_valid`` / ``_err`` — per-function result lists and
-      validity/ERROR flag bytearrays, result cells placed per column;
-    * ``_supports`` — per-slot support-state dicts of the delta engine.
-
-    A *slot* is an index into all arrays at once; ``_slots`` maps the
-    argument tuple to its slot and freed slots are recycled.  The public
-    API is the :class:`GMRStore` surface — callers that ask for rows get
-    immutable snapshot views (plain :class:`GMRRow` instances); the hot
-    paths (:meth:`probe`, :meth:`entry_cell`, :meth:`lookup_many`,
-    :meth:`mark_invalid_many`) never build a view at all.
-
-    Why it wins: a forward probe touches one densely packed result-cell
-    page (hundreds of cells per 4 KiB page) instead of a row page tens
-    of entries wide, and reads two array cells instead of constructing
-    and picking apart a row object.  State-transition semantics — the
-    validity lattice, ERROR refinement, support-state drops, access-path
-    maintenance, entry locking — mirror the row layout operation for
-    operation, which the layout-differential suite and the fuzz matrix
-    hold to *identical* extensions.
-    """
-
-    layout = "columnar"
-
-    def __init__(
-        self,
-        name: str,
-        arg_count: int,
-        fct_count: int,
-        page_store: PageStore | None = None,
-        buffer: BufferManager | None = None,
-        *,
-        storage: str = "auto",
-        row_segment: str | None = None,
-    ) -> None:
-        super().__init__(
-            name,
-            arg_count,
-            fct_count,
-            page_store,
-            buffer,
-            storage=storage,
-            row_segment=row_segment,
-        )
-        # Imported here, not at module top: repro.gom pulls in the core
-        # package, which imports this module.
-        from repro.util.interning import INTERN
-
-        del self._rows  # the row dict must never be touched in this layout
-        self._intern = INTERN.intern
-        self.key_segment = f"{self.row_segment}:keys"
-        self._slots: dict[tuple, int] = {}
-        self._free: list[int] = []
-        self._slot_args: list[tuple | None] = []
-        self._arg_ids: list[array] = [array("q") for _ in range(arg_count)]
-        self._res: list[list[Any]] = [[] for _ in range(fct_count)]
-        self._valid_col: list[bytearray] = [bytearray() for _ in range(fct_count)]
-        self._err_col: list[bytearray] = [bytearray() for _ in range(fct_count)]
-        self._supports: list[dict[int, dict] | None] = []
-        self._key_place: list[Placement] = []
-        self._cell_place: list[list[Placement]] = [[] for _ in range(fct_count)]
-
-    # -- plumbing --------------------------------------------------------------
-
-    def _touch_key(self, slot: int, *, write: bool = False) -> None:
-        if self._buffer is not None:
-            self._buffer.touch(self._key_place[slot].page_id, write=write)
-
-    def _touch_cell(self, slot: int, fct_index: int, *, write: bool = False) -> None:
-        if self._buffer is not None:
-            self._buffer.touch(self._cell_place[fct_index][slot].page_id, write=write)
-
-    def _place(self, segment: str, size: int) -> Placement:
-        if self._pages is None:
-            return Placement(-1, 0)
-        return self._pages.place(segment, size)
-
-    def _view(self, args: tuple, slot: int) -> GMRRow:
-        """An immutable row snapshot for API compatibility.
-
-        Nothing outside this module mutates row attributes (the store
-        methods are the only writers), so handing out copies of the cell
-        values is safe; the support dict is shared live, like the row
-        layout's.
-        """
-        row = GMRRow.__new__(GMRRow)
-        row.args = args
-        row.results = [col[slot] for col in self._res]
-        row.valid = [bool(col[slot]) for col in self._valid_col]
-        row.error = [bool(col[slot]) for col in self._err_col]
-        row.support = self._supports[slot]
-        row.placement = self._key_place[slot]
-        return row
-
-    def _all_valid(self, slot: int) -> bool:
-        return all(col[slot] for col in self._valid_col)
-
-    def _results_of(self, slot: int) -> tuple:
-        return tuple(col[slot] for col in self._res)
-
-    def _column(self, fct_index: int) -> BPlusTree:
-        index = self._columns[fct_index]
-        if index is None:
-            index = BPlusTree(
-                self._pages,
-                self._buffer,
-                segment=f"gmr:{self.name}:f{fct_index}",
-            )
-            valid = self._valid_col[fct_index]
-            res = self._res[fct_index]
-            for args, slot in self._slots.items():
-                if valid[slot] and _is_scalar(res[slot]):
-                    index.insert(res[slot], args)
-            self._columns[fct_index] = index
-        return index
-
-    def _mds_point_of(self, slot: int) -> tuple | None:
-        """The grid-file point of a fully valid, all-scalar slot."""
-        if not self._all_valid(slot):
-            return None
-        results = self._results_of(slot)
-        if not all(_is_scalar(result) for result in results):
-            return None
-        return self._slot_args[slot] + results
-
-    def _index_remove_slot(self, slot: int, fct_index: int, *, had_all: bool) -> None:
-        old = self._res[fct_index][slot]
-        args = self._slot_args[slot]
-        if self.storage == "columns":
-            index = self._columns[fct_index]
-            if index is not None and _is_scalar(old):
-                index.remove(old, args)
-        elif had_all and self._mds is not None:
-            results = self._results_of(slot)
-            if all(_is_scalar(result) for result in results):
-                self._mds.remove(args + results, args)
-
-    def _index_insert_slot(self, slot: int, fct_index: int) -> None:
-        new = self._res[fct_index][slot]
-        args = self._slot_args[slot]
-        if self.storage == "columns":
-            index = self._columns[fct_index]
-            if index is not None and _is_scalar(new):
-                index.insert(new, args)
-        elif self._mds is not None:
-            point = self._mds_point_of(slot)
-            if point is not None:
-                self._mds.insert(point, args)
-
-    # -- row lifecycle --------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def get(self, args: tuple) -> GMRRow | None:
-        slot = self._slots.get(args)
-        if slot is None:
-            return None
-        self._touch_key(slot)
-        return self._view(args, slot)
-
-    def _alloc_slot(self, args: tuple) -> int:
-        key_place = self._place(
-            self.key_segment, _KEY_CELL_SIZE * max(1, self.arg_count)
-        )
-        if self._free:
-            slot = self._free.pop()
-            self._slot_args[slot] = args
-            self._supports[slot] = None
-            self._key_place[slot] = key_place
-            for position, arg in enumerate(args):
-                self._arg_ids[position][slot] = self._intern(arg)
-            for fct_index in range(self.fct_count):
-                self._res[fct_index][slot] = None
-                self._valid_col[fct_index][slot] = 0
-                self._err_col[fct_index][slot] = 0
-                self._cell_place[fct_index][slot] = self._place(
-                    f"gmr:{self.name}:c{fct_index}", _FIELD_SIZE
-                )
-        else:
-            slot = len(self._slot_args)
-            self._slot_args.append(args)
-            self._supports.append(None)
-            self._key_place.append(key_place)
-            for position, arg in enumerate(args):
-                self._arg_ids[position].append(self._intern(arg))
-            for fct_index in range(self.fct_count):
-                self._res[fct_index].append(None)
-                self._valid_col[fct_index].append(0)
-                self._err_col[fct_index].append(0)
-                self._cell_place[fct_index].append(
-                    self._place(f"gmr:{self.name}:c{fct_index}", _FIELD_SIZE)
-                )
-        self._slots[args] = slot
-        for fct_index in range(self.fct_count):
-            self._invalid[fct_index].add(args)
-        return slot
-
-    def ensure_row(self, args: tuple) -> GMRRow:
-        with self._entry_write(args):
-            return self._ensure_row_impl(args)
-
-    def _ensure_row_impl(self, args: tuple) -> GMRRow:
-        slot = self._slots.get(args)
-        if slot is None:
-            slot = self._alloc_slot(args)
-        self._touch_key(slot, write=True)
-        return self._view(args, slot)
-
-    def remove_row(self, args: tuple) -> bool:
-        with self._entry_write(args):
-            slot = self._slots.pop(args, None)
-            if slot is None:
-                return False
-            self._touch_key(slot, write=True)
-            had_all = self._all_valid(slot)
-            for fct_index in range(self.fct_count):
-                if self._valid_col[fct_index][slot]:
-                    self._index_remove_slot(slot, fct_index, had_all=had_all)
-                    # In MDS mode the whole point disappears with the
-                    # first removal; stop after it (fully valid entries
-                    # are in no invalid/error set, so nothing is missed).
-                    if self.storage == "mds" and had_all:
-                        break
-                self._invalid[fct_index].discard(args)
-                self._errors[fct_index].discard(args)
-            if self._pages is not None:
-                if self._key_place[slot].page_id >= 0:
-                    self._pages.remove(self._key_place[slot])
-                for fct_index in range(self.fct_count):
-                    cell = self._cell_place[fct_index][slot]
-                    if cell.page_id >= 0:
-                        self._pages.remove(cell)
-            self._slot_args[slot] = None
-            self._supports[slot] = None
-            for fct_index in range(self.fct_count):
-                self._res[fct_index][slot] = None
-                self._valid_col[fct_index][slot] = 0
-                self._err_col[fct_index][slot] = 0
-            self._free.append(slot)
-            return True
-
-    # -- result maintenance ------------------------------------------------------------
-
-    def set_result(self, args: tuple, fct_index: int, value: Any) -> GMRRow:
-        with self._entry_write(args):
-            slot = self._slots.get(args)
-            if slot is None:
-                slot = self._alloc_slot(args)
-                self._touch_key(slot, write=True)
-            valid = self._valid_col[fct_index]
-            if valid[slot]:
-                self._index_remove_slot(slot, fct_index, had_all=self._all_valid(slot))
-            self._res[fct_index][slot] = value
-            valid[slot] = 1
-            support = self._supports[slot]
-            if support:
-                support.pop(fct_index, None)
-            self._invalid[fct_index].discard(args)
-            if self._err_col[fct_index][slot]:
-                self._err_col[fct_index][slot] = 0
-                self._errors[fct_index].discard(args)
-            self._index_insert_slot(slot, fct_index)
-            self._touch_cell(slot, fct_index, write=True)
-            return self._view(args, slot)
-
-    def mark_invalid(self, args: tuple, fct_index: int) -> bool:
-        with self._entry_write(args):
-            return self._mark_invalid_slot(args, fct_index)
-
-    def _mark_invalid_slot(self, args: tuple, fct_index: int) -> bool:
-        slot = self._slots.get(args)
-        if slot is None or not self._valid_col[fct_index][slot]:
-            return False
-        self._index_remove_slot(slot, fct_index, had_all=self._all_valid(slot))
-        self._valid_col[fct_index][slot] = 0
-        support = self._supports[slot]
-        if support:
-            support.pop(fct_index, None)
-        self._invalid[fct_index].add(args)
-        self._touch_cell(slot, fct_index, write=True)
-        return True
-
-    def mark_error(self, args: tuple, fct_index: int) -> bool:
-        with self._entry_write(args):
-            slot = self._slots.get(args)
-            if slot is None:
-                return False
-            changed = False
-            if self._valid_col[fct_index][slot]:
-                self._index_remove_slot(slot, fct_index, had_all=self._all_valid(slot))
-                self._valid_col[fct_index][slot] = 0
-                self._invalid[fct_index].add(args)
-                changed = True
-            if not self._err_col[fct_index][slot]:
-                self._err_col[fct_index][slot] = 1
-                self._errors[fct_index].add(args)
-                changed = True
-            support = self._supports[slot]
-            if support:
-                support.pop(fct_index, None)
-            self._touch_cell(slot, fct_index, write=True)
-            return changed
-
-    def support_state(self, args: tuple, fct_index: int) -> dict | None:
-        slot = self._slots.get(args)
-        if slot is None:
-            return None
-        support = self._supports[slot]
-        if not support:
-            return None
-        return support.get(fct_index)
-
-    def set_support_state(
-        self, args: tuple, fct_index: int, state: dict | None
-    ) -> None:
-        with self._entry_write(args):
-            slot = self._slots.get(args)
-            if slot is None:
-                return
-            if state is None:
-                support = self._supports[slot]
-                if support:
-                    support.pop(fct_index, None)
-                return
-            support = self._supports[slot]
-            if support is None:
-                support = {}
-                self._supports[slot] = support
-            support[fct_index] = state
-            self._touch_cell(slot, fct_index, write=True)
-
-    # -- cell probes ----------------------------------------------------------------
-
-    def probe(self, args: tuple, fct_index: int) -> tuple[Any, bool, bool]:
-        slot = self._slots.get(args)
-        if slot is None:
-            return None, False, False
-        self._touch_cell(slot, fct_index)
-        return (
-            self._res[fct_index][slot],
-            bool(self._valid_col[fct_index][slot]),
-            True,
-        )
-
-    def entry_cell(self, args: tuple, fct_index: int) -> tuple[Any, bool, bool, bool]:
-        slot = self._slots.get(args)
-        if slot is None:
-            return None, False, False, False
-        self._touch_cell(slot, fct_index)
-        return (
-            self._res[fct_index][slot],
-            bool(self._valid_col[fct_index][slot]),
-            bool(self._err_col[fct_index][slot]),
-            True,
-        )
-
-    def lookup_many(
-        self, args_list: Iterable[tuple], fct_index: int
-    ) -> list[tuple[Any, bool, bool]]:
-        slots = self._slots
-        res = self._res[fct_index]
-        valid = self._valid_col[fct_index]
-        out: list[tuple[Any, bool, bool]] = []
-        for args in args_list:
-            slot = slots.get(args)
-            if slot is None:
-                out.append((None, False, False))
-            else:
-                self._touch_cell(slot, fct_index)
-                out.append((res[slot], bool(valid[slot]), True))
-        return out
-
-    def mark_invalid_many(
-        self, fct_index: int, args_iter: Iterable[tuple]
-    ) -> list[tuple]:
-        changed: list[tuple] = []
-        for args in args_iter:
-            with self._entry_write(args):
-                if self._mark_invalid_slot(args, fct_index):
-                    changed.append(args)
-        return changed
-
-    # -- retrieval -----------------------------------------------------------------
-
-    def rows(self) -> Iterator[GMRRow]:
-        for args, slot in self._slots.items():
-            self._touch_key(slot)
-            yield self._view(args, slot)
-
-    def args(self) -> list[tuple]:
-        return list(self._slots)
-
-    def backward(
-        self,
-        fct_index: int,
-        low: Any = None,
-        high: Any = None,
-        *,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> Iterator[tuple[Any, tuple]]:
-        if self.storage == "mds" and self._mds is not None:
-            conditions: list[Any] = [None] * (self.arg_count + self.fct_count)
-            conditions[self.arg_count + fct_index] = (low, high)
-            valid = self._valid_col[fct_index]
-            for point, args in self._mds.query(conditions):
-                value = point[self.arg_count + fct_index]
-                if not include_low and low is not None and value == low:
-                    continue
-                if not include_high and high is not None and value == high:
-                    continue
-                slot = self._slots.get(args)
-                if slot is not None and valid[slot]:
-                    yield value, args
-            for args in self._partial_rows(fct_index):
-                slot = self._slots[args]
-                value = self._res[fct_index][slot]
-                if not _in_range(
-                    value, low, high, include_low=include_low, include_high=include_high
-                ):
-                    continue
-                self._touch_cell(slot, fct_index)
-                yield value, args
-            return
-        index = self._column(fct_index)
-        yield from index.range_scan(
-            low, high, include_low=include_low, include_high=include_high
-        )
-
-    def _partial_rows(self, fct_index: int) -> list[tuple]:
-        valid = self._valid_col[fct_index]
-        result = []
-        for args, slot in self._slots.items():
-            if valid[slot] and self._mds_point_of(slot) is None:
                 result.append(args)
         return result
 

@@ -6,6 +6,7 @@ from repro import ObjectBase
 from repro.core.dependencies import DependencyIndex
 from repro.core.function_registry import FunctionInfo
 from repro.domains.geometry import build_figure2_database, build_geometry_schema
+from repro.gom.instrumentation import InstrumentationLevel
 
 
 def info(fid, pairs):
@@ -147,135 +148,19 @@ class TestPaperSection52Example:
         }
 
 
-# ---------------------------------------------------------------------------
-# Precompiled invalidation plans
-# ---------------------------------------------------------------------------
-
-from repro.core.dependencies import FidPlan, UpdatePlan
-from repro.core.strategies import Strategy
-from repro.observe.config import MaterializationConfig
-
-
-class TestUpdatePlanCompilation:
-    """FidPlan/UpdatePlan: the flattened per-(type, attr) hot path."""
-
-    @pytest.fixture
-    def db(self):
-        db = ObjectBase()
-        build_geometry_schema(db)
-        build_figure2_database(db)
-        yield db
-        db.close()
-
-    def test_plan_matches_schema_dep_fct(self, db):
-        db.materialize([("Cuboid", "volume"), ("Cuboid", "weight")])
-        manager = db.gmr_manager
-        plan = manager.update_plan("Vertex", "X")
-        assert plan is not None
-        assert plan.fids == manager.schema_dep_fct("Vertex", "X")
-        assert {entry.fid for entry in plan.entries} == set(plan.fids)
-
-    def test_plan_entry_flags(self, db):
-        db.materialize([("Cuboid", "volume")], strategy=Strategy.DEFERRED)
-        manager = db.gmr_manager
-        plan = manager.update_plan("Vertex", "X")
-        (entry,) = plan.entries
-        assert isinstance(entry, FidPlan)
-        assert entry.fid == "Cuboid.volume"
-        assert entry.marks_only and entry.deferred
-        assert not entry.is_predicate
-        assert entry.gmr is manager.gmr_of("Cuboid.volume")
-
-    def test_predicate_fid_plan(self, db):
-        db.query("range c:Cuboid materialize c.volume where c.Value <= 50")
-        manager = db.gmr_manager
-        plan = manager.update_plan("Cuboid", "Value")
-        predicate_entries = [e for e in plan.entries if e.is_predicate]
-        assert len(predicate_entries) == 1
-        assert predicate_entries[0].gmr.predicate_fid == predicate_entries[0].fid
-
-    def test_plan_is_cached(self, db):
-        db.materialize([("Cuboid", "volume")])
-        manager = db.gmr_manager
-        first = manager.update_plan("Vertex", "X")
-        second = manager.update_plan("Vertex", "X")
-        assert first is second
-
-    def test_empty_pair_compiles_to_empty_plan(self, db):
-        db.materialize([("Cuboid", "volume")])
-        plan = db.gmr_manager.update_plan("Cuboid", "Value")
-        assert plan is not None
-        assert plan.fids == frozenset()
-        assert plan.entries == ()
-
-    def test_disabled_by_config(self):
-        db = ObjectBase(config=MaterializationConfig(invalidation_plans=False))
-        build_geometry_schema(db)
-        build_figure2_database(db)
-        db.materialize([("Cuboid", "volume")])
-        try:
-            assert db.gmr_manager.update_plan("Vertex", "X") is None
-        finally:
-            db.close()
-
-
-class TestPlanCacheInvalidation:
-    @pytest.fixture
-    def db(self):
-        db = ObjectBase()
-        build_geometry_schema(db)
-        build_figure2_database(db)
-        yield db
-        db.close()
-
-    def test_dependency_index_version_counter(self):
-        index = DependencyIndex()
-        start = index.version
-        index.add_function(info("T.f", {("T", "A")}))
-        index.add_pairs("T.f", {("T", "B")})
-        assert index.version == start + 2
-        index.remove_function("T.f")
-        assert index.version == start + 3
-
-    def test_new_materialization_refreshes_plans(self, db):
-        db.materialize([("Cuboid", "volume")])
-        manager = db.gmr_manager
-        before = manager.update_plan("Vertex", "X")
-        assert before.fids == {"Cuboid.volume"}
-        db.materialize([("Cuboid", "weight")])
-        after = manager.update_plan("Vertex", "X")
-        assert after is not before
-        assert after.fids == {"Cuboid.volume", "Cuboid.weight"}
-
-    def test_schema_change_invalidates_plans(self, db):
-        db.materialize([("Cuboid", "volume")])
-        manager = db.gmr_manager
-        before = manager.update_plan("Vertex", "X")
-        db.define_tuple_type("Unrelated", {"A": "float"})
-        after = manager.update_plan("Vertex", "X")
-        assert after is not before
-        assert after.fids == before.fids
-
-    def test_direct_index_mutation_is_caught_by_epoch(self, db):
-        db.materialize([("Cuboid", "volume")])
-        manager = db.gmr_manager
-        before = manager.update_plan("Vertex", "X")
-        manager._deps.add_pairs("Cuboid.volume", {("Vertex", "W")})
-        after = manager.update_plan("Vertex", "X")
-        assert after is not before
-
-
 class TestPlannedVsScannedEquivalence:
-    """Fig. 7's update workload must behave identically on both paths."""
+    """Fig. 7's update workload: the ``SchemaDepFct`` dispatch must give
+    the answers of an unmaterialized twin, at a pinned invalidation
+    volume."""
 
-    def _run_workload(self, plans):
-        db = ObjectBase(
-            config=MaterializationConfig(invalidation_plans=plans)
-        )
+    def _run_workload(self, materialized):
+        level = None if materialized else InstrumentationLevel.NONE
+        db = ObjectBase(level=level)
         build_geometry_schema(db)
         fixture = build_figure2_database(db)
-        db.materialize([("Cuboid", "volume"), ("Cuboid", "weight")])
-        db.materialize([("Workpieces", "total_volume")])
+        if materialized:
+            db.materialize([("Cuboid", "volume"), ("Cuboid", "weight")])
+            db.materialize([("Workpieces", "total_volume")])
         cuboids = fixture.cuboids
         try:
             # The Fig. 7 mix: vertex moves (invalidating), value updates
@@ -306,7 +191,12 @@ class TestPlannedVsScannedEquivalence:
             db.close()
 
     def test_equivalence(self):
-        planned = self._run_workload(True)
-        scanned = self._run_workload(False)
-        assert planned["violations"] == [] and scanned["violations"] == []
-        assert planned == scanned
+        maintained = self._run_workload(True)
+        twin = self._run_workload(False)
+        assert maintained["violations"] == []
+        for key in ("volumes", "weights", "totals"):
+            assert maintained[key] == twin[key]
+        # 9 notifications reach the manager and invalidate 24 entries
+        # (the Value updates are irrelevant to every function).
+        assert maintained["invalidations"] == (9, 24)
+        assert twin["invalidations"] == (0, 0)

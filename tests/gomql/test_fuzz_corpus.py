@@ -3,8 +3,8 @@
 Two layers:
 
 * **Corpus replay** — every ``corpus/*.json`` script (minimized
-  regressions plus hand-picked interaction pins) is replayed against a
-  deterministic slice of the configuration matrix on every test run.
+  regressions plus hand-picked interaction pins) is replayed against
+  the whole configuration matrix on every test run.
   ``geometry-backward-neq-keyerror.json`` is the minimized script that
   crashed the backward planner (``KeyError`` on a ``!=``-only
   comparison against a materialized function) before the planner
@@ -14,6 +14,7 @@ Two layers:
   stays exercised in tier-1 without the cost of the nightly run.
 """
 
+import dataclasses
 import json
 import os
 
@@ -26,6 +27,8 @@ from repro.fuzz import (
     generate_script,
     script_from_json,
 )
+
+from repro.observe.config import MaterializationConfig
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS_FILES = sorted(
@@ -51,17 +54,19 @@ class TestCorpus:
 
     @pytest.mark.parametrize("name", CORPUS_FILES)
     def test_corpus_replay(self, name):
-        script = corpus_script(name)
-        # A deterministic 48-config slice spanning every level and
-        # strategy.  Shards is the innermost matrix factor and layout
-        # the next one out, so stride-32 offsets pick physical-layout
-        # complements: offset 0 replays rows/unsharded, offset 3
-        # (3 % 2 → shards=4, 3 // 2 % 2 → columnar) replays the
-        # columnar store sharded.  The nightly job covers the full 768.
-        matrix = all_configs()
-        configs = matrix[::32] + matrix[3::32]
-        failures = check_script(script, configs)
+        failures = check_script(corpus_script(name), all_configs())
         assert not failures, "\n".join(str(f) for f in failures)
+
+
+def test_matrix_is_the_whole_configuration_surface():
+    """The matrix tier-1 replays in full has 192 points, and
+    ``MaterializationConfig`` has no knob besides these eight."""
+    matrix = all_configs()
+    assert len(matrix) == len(set(matrix)) == 192
+    assert [spec.name for spec in dataclasses.fields(MaterializationConfig)] == [
+        "level", "strategy", "batching", "fault_policy", "observe",
+        "workers", "shards", "maintenance",
+    ]
 
 
 class TestFixedSeedSmoke:

@@ -1,4 +1,4 @@
-"""MaterializationConfig wiring, deprecation shims, report dataclasses,
+"""MaterializationConfig wiring, report dataclasses,
 and the checkpoint/recover coherence of observability state."""
 
 from __future__ import annotations
@@ -70,17 +70,21 @@ class TestMaterializationConfig:
             db = ObjectBase(level=InstrumentationLevel.NAIVE)
         assert db.level is InstrumentationLevel.NAIVE
 
-    def test_level_plus_config_warns_and_level_wins(self):
+    def test_level_plus_config_raises(self):
         config = MaterializationConfig(
             level=InstrumentationLevel.SCHEMA_DEP
         )
-        with pytest.warns(DeprecationWarning, match="level"):
-            db = ObjectBase(
-                level=InstrumentationLevel.NAIVE, config=config
-            )
-        assert db.level is InstrumentationLevel.NAIVE
-        # The caller's config object is not mutated behind their back.
-        assert config.level is InstrumentationLevel.SCHEMA_DEP
+        with pytest.raises(ValueError, match="level"):
+            ObjectBase(level=InstrumentationLevel.NAIVE, config=config)
+
+    def test_batching_off_makes_batch_scopes_pass_through(self):
+        db = make_point_db(config=MaterializationConfig(batching=False))
+        p = db.new("Point", X=3.0, Y=4.0)
+        db.materialize([("Point", "norm")])
+        with db.batch():
+            p.set_X(6.0)
+            # Batching off: the notification processed eagerly.
+            assert len(db.gmr_manager._queue) == 0
 
     def test_fault_policy_flows_from_the_config(self):
         policy = FaultPolicy(max_attempts=2, failure_threshold=7)
@@ -91,31 +95,6 @@ class TestMaterializationConfig:
         assert manager.fault_policy is policy
         assert manager.guard.policy is policy
         assert manager.breaker.policy is policy
-
-
-class TestDeprecationShims:
-    def test_assigning_manager_fault_policy_warns_but_works(self):
-        db = make_point_db()
-        manager = db.gmr_manager
-        replacement = FaultPolicy(max_attempts=1)
-        with pytest.warns(DeprecationWarning, match="fault_policy"):
-            manager.fault_policy = replacement
-        assert db.config.fault_policy is replacement
-        assert manager.guard.policy is replacement
-        assert manager.breaker.policy is replacement
-
-    def test_assigning_manager_batching_warns_and_disables_batching(self):
-        db = make_point_db()
-        p = db.new("Point", X=3.0, Y=4.0)
-        db.materialize([("Point", "norm")])
-        manager = db.gmr_manager
-        with pytest.warns(DeprecationWarning, match="batching"):
-            manager.batching = False
-        assert db.config.batching is False
-        with db.batch():
-            p.set_X(6.0)
-            # Batching off: the notification processed eagerly.
-            assert len(manager._queue) == 0
 
 
 class TestReportDataclasses:

@@ -67,6 +67,61 @@ class TestValidity:
         assert store.get(("o1",)).valid[0] is True
 
 
+class TestCellAccessors:
+    """The single-pass accessors of the forward-query and invalidation
+    hot paths: one cell each of an absent row, an invalid cell, an ERROR
+    cell and a valid cell."""
+
+    @pytest.fixture
+    def cells(self, store):
+        store.ensure_row(("invalid",))
+        store.set_result(("error",), 0, 7.0)
+        store.mark_error(("error",), 0)
+        store.set_result(("valid",), 0, 3.0)
+        return store
+
+    def test_probe(self, cells):
+        assert cells.probe(("absent",), 0) == (None, False, False)
+        assert cells.probe(("invalid",), 0) == (None, False, True)
+        assert cells.probe(("error",), 0) == (7.0, False, True)
+        assert cells.probe(("valid",), 0) == (3.0, True, True)
+        # The other column of the valid row was never computed.
+        assert cells.probe(("valid",), 1) == (None, False, True)
+
+    def test_entry_cell_adds_the_error_flag(self, cells):
+        assert cells.entry_cell(("absent",), 0) == (None, False, False, False)
+        assert cells.entry_cell(("invalid",), 0) == (None, False, False, True)
+        assert cells.entry_cell(("error",), 0) == (7.0, False, True, True)
+        assert cells.entry_cell(("valid",), 0) == (3.0, True, False, True)
+
+    def test_lookup_many_is_probe_in_input_order(self, cells):
+        batch = [("valid",), ("absent",), ("error",), ("invalid",), ("valid",)]
+        assert cells.lookup_many(batch, 0) == [
+            cells.probe(args, 0) for args in batch
+        ]
+        assert cells.lookup_many([], 0) == []
+
+    def test_mark_invalid_many_returns_only_transitions(self, cells):
+        cells.set_result(("valid2",), 0, 4.0)
+        batch = [("valid",), ("absent",), ("error",), ("invalid",), ("valid2",)]
+        # Blind references (absent rows) and cells that are already
+        # invalid (plain or ERROR) are skipped, not reported.
+        assert cells.mark_invalid_many(batch, 0) == [("valid",), ("valid2",)]
+        assert cells.probe(("valid",), 0) == (3.0, False, True)
+        assert cells.get(("absent",)) is None
+        assert cells.error_args(0) == {("error",)}
+        assert cells.invalid_args(0) == {
+            ("invalid",), ("error",), ("valid",), ("valid2",)
+        }
+        assert cells.mark_invalid_many(batch, 0) == []
+        assert list(cells.backward(0)) == []
+
+    def test_mark_invalid_many_leaves_other_columns_alone(self, cells):
+        cells.set_result(("valid",), 1, 9.0)
+        assert cells.mark_invalid_many([("valid",)], 0) == [("valid",)]
+        assert cells.probe(("valid",), 1) == (9.0, True, True)
+
+
 class TestBackward:
     @pytest.fixture(params=["mds", "columns"])
     def filled(self, request):

@@ -1,5 +1,7 @@
 """Persistence tests: dump / load round-trips."""
 
+import json
+
 import pytest
 
 from repro import ObjectBase, RestrictionSpec, Strategy, Variable
@@ -10,11 +12,15 @@ from repro.domains.geometry import (
 )
 from repro.persistence import (
     PersistenceError,
+    base_state,
+    checkpoint,
     dump_object_base,
     from_document,
     load_object_base,
+    recover,
     to_document,
 )
+from repro.storage.gmr_store import GMRStore
 
 
 @pytest.fixture
@@ -274,6 +280,29 @@ class TestSchedulerAndStatsRoundTrip:
         reloaded = fresh_db()
         from_document(reloaded, document)
         assert len(reloaded.extension("Cuboid")) == 3
+
+
+class TestRemovedLayoutKey:
+    def test_checkpoint_written_with_a_layout_key_recovers(self, dumped):
+        """Bases between PR 10 and PR 12 wrote a per-GMR ``"layout"``
+        (``"rows"`` or ``"columnar"``); there is one store now and the
+        key is ignored, never an error."""
+        db, fixture, path = dumped
+        path = str(path)
+        checkpoint(db, path)
+        with open(path, encoding="utf-8") as handle:
+            document = json.load(handle)
+        assert document["gmrs"]
+        for entry in document["gmrs"]:
+            assert "layout" not in entry
+            entry["layout"] = "columnar"
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        recovered = fresh_db()
+        recover(recovered, path)
+        for gmr in recovered.gmr_manager.gmrs():
+            assert type(gmr.store) is GMRStore
+        assert base_state(recovered) == base_state(db)
 
 
 class TestOidAllocatorRoundTrip:
