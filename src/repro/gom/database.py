@@ -29,8 +29,16 @@ from repro.errors import (
     UnknownAttributeError,
     UnknownOperationError,
 )
-from repro.gom.handles import Handle, unwrap
+from repro.gom.handles import (
+    Handle,
+    bind_db,
+    bind_internal,
+    bind_oid,
+    new_handle,
+    unwrap,
+)
 from repro.gom.instrumentation import InstrumentationLevel
+from repro.gom.members import MemberPlan, build_plan
 from repro.gom.object_manager import ObjectManager
 from repro.gom.objects import StoredObject
 from repro.gom.oid import Oid
@@ -57,6 +65,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.manager import GMRManager
     from repro.observe.config import MaterializationConfig
 
+_NO_FIDS: frozenset[str] = frozenset()
+
 _ATOMIC_DEFAULTS: dict[str, Any] = {
     "float": 0.0,
     "int": 0,
@@ -71,8 +81,7 @@ class _InvocationState(threading.local):
     """Per-thread function-invocation state of one object base.
 
     Holds the access-tracer stack and the nesting depths that the
-    invocation paths maintain (``_opaque_depth`` / ``_suppress_depth`` /
-    ``_materializing_depth``).  Subclassing ``threading.local`` gives
+    invocation paths maintain.  Subclassing ``threading.local`` gives
     every thread — the foreground mutator and each pool drain thread —
     its own independent copy, which is what makes concurrent
     rematerializations trace independent accessed-object sets.
@@ -182,11 +191,13 @@ class ObjectBase:
         #: background drain's rematerialization must trace only the
         #: objects *its* function body touches — a shared tracer list
         #: would let concurrent drains pollute each other's accessed
-        #: sets and materialize spurious RRR rows.  Single-threaded
-        #: bases pay one attribute indirection (the property shims
-        #: below), nothing else.
+        #: sets and materialize spurious RRR rows.  Every path that
+        #: needs it reads ``state = self._invocation`` once and works on
+        #: the fields.
         self._invocation = _InvocationState()
-        self._member_plans: dict[tuple[str, str], tuple] = {}
+        #: ``(dynamic type, member)`` → compiled plan; see
+        #: :mod:`repro.gom.members`.
+        self._member_plans: dict[tuple[str, str], MemberPlan] = {}
         self._strict_cache: dict[str, bool] = {}
         self._attr_indexes: dict[tuple[str, str], BPlusTree] = {}
         #: Update listeners: callables invoked after every elementary
@@ -219,43 +230,6 @@ class ObjectBase:
     @level.setter
     def level(self, value: InstrumentationLevel) -> None:
         self.config.level = value
-
-    # -- per-thread invocation state (shims over ``_invocation``) ------
-    # The invocation paths read and write these exactly as they did when
-    # they were plain attributes; the properties reroute every access to
-    # the current thread's ``_InvocationState`` slot.
-
-    @property
-    def _tracers(self) -> list[AccessTracer]:
-        return self._invocation.tracers
-
-    @_tracers.setter
-    def _tracers(self, value: list[AccessTracer]) -> None:
-        self._invocation.tracers = value
-
-    @property
-    def _opaque_depth(self) -> int:
-        return self._invocation.opaque_depth
-
-    @_opaque_depth.setter
-    def _opaque_depth(self, value: int) -> None:
-        self._invocation.opaque_depth = value
-
-    @property
-    def _suppress_depth(self) -> int:
-        return self._invocation.suppress_depth
-
-    @_suppress_depth.setter
-    def _suppress_depth(self, value: int) -> None:
-        self._invocation.suppress_depth = value
-
-    @property
-    def _materializing_depth(self) -> int:
-        return self._invocation.materializing_depth
-
-    @_materializing_depth.setter
-    def _materializing_depth(self, value: int) -> None:
-        self._invocation.materializing_depth = value
 
     # ------------------------------------------------------------------
     # Schema definition
@@ -648,18 +622,19 @@ class ObjectBase:
 
     @property
     def materializing(self) -> bool:
-        return self._materializing_depth > 0
+        return self._invocation.materializing_depth > 0
 
     @contextmanager
     def materialization_scope(self) -> Iterator[None]:
         """Evaluate code as part of a materialization: nested invocations
         of materialized functions run their real bodies instead of being
         mapped to GMR forward queries."""
-        self._materializing_depth += 1
+        state = self._invocation
+        state.materializing_depth += 1
         try:
             yield
         finally:
-            self._materializing_depth -= 1
+            state.materializing_depth -= 1
 
     def materialize(self, functions, **kwargs):
         """Create a GMR over ``functions`` — see
@@ -688,22 +663,24 @@ class ObjectBase:
     def trace(self) -> Iterator[AccessTracer]:
         """Record every object/attribute access within the block."""
         tracer = AccessTracer()
-        self._tracers.append(tracer)
+        tracers = self._invocation.tracers
+        tracers.append(tracer)
         try:
             yield tracer
         finally:
-            self._tracers.remove(tracer)
+            tracers.remove(tracer)
 
-    def _record_access(self, oid: Oid, decl_type: str, attribute: str) -> None:
-        if self._opaque_depth:
-            return
-        for tracer in self._tracers:
-            tracer.record_object(oid)
-            tracer.record_attribute(decl_type, attribute)
-
-    def _record_object_only(self, oid: Oid) -> None:
-        for tracer in self._tracers:
-            tracer.record_object(oid)
+    def _record_access(
+        self, obj: StoredObject, decl_type: str, attribute: str
+    ) -> None:
+        """Tell every active tracer of this thread about one state read
+        (the compiled attribute readers of :mod:`repro.gom.members` do
+        the same inline)."""
+        state = self._invocation
+        if state.tracers and not state.opaque_depth:
+            for tracer in state.tracers:
+                tracer.record_object(obj.oid)
+                tracer.record_attribute(decl_type, attribute)
 
     # ------------------------------------------------------------------
     # Object lifecycle
@@ -843,41 +820,26 @@ class ObjectBase:
 
     def extension(self, type_name: str) -> list[Handle]:
         """``ext(t)`` as handles (includes subtype instances)."""
-        return [Handle(self, oid) for oid in self.objects.extension(type_name)]
+        handles = []
+        for oid in self.objects.extension(type_name):
+            handle = new_handle(Handle)
+            bind_db(handle, self)
+            bind_oid(handle, oid)
+            bind_internal(handle, False)
+            handles.append(handle)
+        return handles
 
     # ------------------------------------------------------------------
     # Member plans (cached resolution for the hot access path)
     # ------------------------------------------------------------------
 
-    def _plan(self, type_name: str, member: str) -> tuple:
+    def _plan(self, type_name: str, member: str) -> MemberPlan:
         key = (type_name, member)
         plan = self._member_plans.get(key)
         if plan is None:
-            plan = self._build_plan(type_name, member)
+            plan = build_plan(self, type_name, member)
             self._member_plans[key] = plan
         return plan
-
-    def _build_plan(self, type_name: str, member: str) -> tuple:
-        schema = self.schema
-        attributes = schema.all_attributes(type_name)
-        if member in attributes:
-            decl = schema.attribute_declaring_type(type_name, member)
-            public = schema.is_public(type_name, member)
-            return ("attr", member, decl, attributes[member].type_name, public)
-        if member.startswith("set_"):
-            attr = member[len("set_") :]
-            if attr in attributes:
-                decl = schema.attribute_declaring_type(type_name, attr)
-                public = schema.is_public(type_name, member)
-                return ("setter", attr, decl, attributes[attr].type_name, public)
-        try:
-            decl, operation = schema.resolve_operation(type_name, member)
-        except UnknownOperationError:
-            raise UnknownAttributeError(
-                f"{type_name} has no attribute or operation {member}"
-            ) from None
-        public = schema.is_public(type_name, member)
-        return ("op", member, decl, operation, public)
 
     def _is_strict(self, type_name: str) -> bool:
         strict = self._strict_cache.get(type_name)
@@ -891,55 +853,27 @@ class ObjectBase:
 
     def handle_member(self, handle: Handle, member: str) -> Any:
         """Resolve ``handle.member`` — attribute read, setter or operation."""
-        oid = handle.oid
-        obj = self.objects.get(oid)
-        plan = self._plan(obj.type_name, member)
-        kind = plan[0]
-        if kind == "attr":
-            _, attr, decl, _attr_type, public = plan
-            if self.enforce_encapsulation and not handle._internal and not public:
-                raise EncapsulationError(
-                    f"{obj.type_name}.{attr} is not public"
-                )
-            value = self._read_attr(obj, attr, decl)
-            if isinstance(value, Oid):
-                return Handle(self, value, internal=handle._internal)
-            return value
-        if kind == "setter":
-            _, attr, decl, attr_type, public = plan
-            if self.enforce_encapsulation and not handle._internal and not public:
-                raise EncapsulationError(
-                    f"{obj.type_name}.set_{attr} is not public"
-                )
-
-            def setter(value: Any, *, _oid=oid, _attr=attr) -> None:
-                self.set_attr(_oid, _attr, value)
-
-            return setter
-        _, op_name, decl, operation, public = plan
-
-        def invoker(*args: Any, _oid=oid, _op=op_name, _internal=handle._internal) -> Any:
-            return self.invoke(_oid, _op, args, internal=_internal)
-
-        return invoker
+        obj = self.objects.live.get(handle._oid.value)
+        if obj is None or obj.deleted:
+            obj = self.objects.get(handle._oid)  # raises
+        plan = self._member_plans.get((obj.type_name, member))
+        if plan is None:
+            plan = self._plan(obj.type_name, member)
+        return plan.access(handle, obj)
 
     # ------------------------------------------------------------------
     # Elementary reads
     # ------------------------------------------------------------------
 
-    def _read_attr(self, obj: StoredObject, attr: str, decl_type: str) -> Any:
-        self.buffer.touch(obj.placement.page_id)
-        if self._tracers:
-            self._record_access(obj.oid, decl_type, attr)
-        return obj.data[attr]
-
     def read_attr(self, oid: Oid, attr: str) -> Any:
         """Raw attribute read (OIDs are not wrapped into handles)."""
         obj = self.objects.get(oid)
         plan = self._plan(obj.type_name, attr)
-        if plan[0] != "attr":
+        if plan.kind != "attr":
             raise UnknownAttributeError(f"{obj.type_name} has no attribute {attr}")
-        return self._read_attr(obj, attr, plan[2])
+        self.buffer.touch(obj.placement.page_id)
+        self._record_access(obj, plan.decl_type, attr)
+        return obj.data[attr]
 
     # ------------------------------------------------------------------
     # Elementary updates with schema-rewrite notification
@@ -957,11 +891,13 @@ class ObjectBase:
     def _set_attr_impl(self, oid: Oid, attr: str, value: Any) -> None:
         obj = self.objects.get(oid)
         plan = self._plan(obj.type_name, attr)
-        if plan[0] != "attr":
+        if plan.kind != "attr":
             raise UnknownAttributeError(f"{obj.type_name} has no attribute {attr}")
-        _, _, decl_type, attr_type, _ = plan
+        decl_type = plan.decl_type
         raw = unwrap(value)
-        self.schema.check_value(attr_type, raw, type_of_oid=self.objects.type_of)
+        self.schema.check_value(
+            plan.attr_type, raw, type_of_oid=self.objects.type_of
+        )
         if self._wal is not None and not self._wal_suppress:
             self._wal_log(
                 {
@@ -972,8 +908,12 @@ class ObjectBase:
                 }
             )
         gmr = self._gmr
-        exclude: frozenset[str] = frozenset()
-        if gmr is not None and self.level.notifies and not self._suppress_depth:
+        exclude: frozenset[str] = _NO_FIDS
+        if (
+            gmr is not None
+            and self.level.notifies
+            and not self._invocation.suppress_depth
+        ):
             # Compensating actions fire *before* the update (Sec. 5.4).
             exclude = self._compensate_if_registered(
                 obj, decl_type, writer_name(attr), (raw,)
@@ -1033,8 +973,12 @@ class ObjectBase:
                 record["pos"] = position
             self._wal_log(record)
         gmr = self._gmr
-        exclude: frozenset[str] = frozenset()
-        if gmr is not None and self.level.notifies and not self._suppress_depth:
+        exclude: frozenset[str] = _NO_FIDS
+        if (
+            gmr is not None
+            and self.level.notifies
+            and not self._invocation.suppress_depth
+        ):
             exclude = self._compensate_if_registered(
                 obj, obj.type_name, "insert", (raw,)
             )
@@ -1076,8 +1020,12 @@ class ObjectBase:
                 {"kind": "remove", "oid": oid.value, "value": _wal_encode(raw)}
             )
         gmr = self._gmr
-        exclude: frozenset[str] = frozenset()
-        if gmr is not None and self.level.notifies and not self._suppress_depth:
+        exclude: frozenset[str] = _NO_FIDS
+        if (
+            gmr is not None
+            and self.level.notifies
+            and not self._invocation.suppress_depth
+        ):
             exclude = self._compensate_if_registered(
                 obj, obj.type_name, "remove", (raw,)
             )
@@ -1107,10 +1055,10 @@ class ObjectBase:
                 "materialization is enabled"
             )
         if not gmr.has_compensation(decl_type, update_name):
-            return frozenset()
+            return _NO_FIDS
         relevant = gmr.compensated_fct(decl_type, update_name) & obj.obj_dep_fct
         if not relevant:
-            return frozenset()
+            return _NO_FIDS
         # Only fully handled fids are excluded from the post-update
         # invalidation wave; a fid whose delta patch was discarded falls
         # back to ordinary invalidation (never a stale row).
@@ -1146,7 +1094,7 @@ class ObjectBase:
         level = self.level
         if gmr is None or not level.notifies:
             return
-        if self._suppress_depth:
+        if self._invocation.suppress_depth:
             # Inside a public operation of a strictly encapsulated type
             # (Sec. 5.3) or an operation whose effect was already handled
             # by a compensating action (Sec. 5.4): the enclosing operation
@@ -1237,27 +1185,28 @@ class ObjectBase:
     def collection_iter(self, target: Handle | Oid) -> Iterator[Any]:
         obj = self._collection_obj(target)
         self.buffer.touch(obj.placement.page_id)
-        if self._tracers:
-            self._record_access(obj.oid, obj.type_name, ELEMENTS_ATTR)
+        self._record_access(obj, obj.type_name, ELEMENTS_ATTR)
         internal = isinstance(target, Handle) and target._internal
         for element in list(obj.elements):
             if isinstance(element, Oid):
-                yield Handle(self, element, internal=internal)
+                handle = new_handle(Handle)
+                bind_db(handle, self)
+                bind_oid(handle, element)
+                bind_internal(handle, internal)
+                yield handle
             else:
                 yield element
 
     def collection_len(self, target: Handle | Oid) -> int:
         obj = self._collection_obj(target)
         self.buffer.touch(obj.placement.page_id)
-        if self._tracers:
-            self._record_access(obj.oid, obj.type_name, ELEMENTS_ATTR)
+        self._record_access(obj, obj.type_name, ELEMENTS_ATTR)
         return len(obj.elements)
 
     def collection_contains(self, target: Handle | Oid, element: Any) -> bool:
         obj = self._collection_obj(target)
         self.buffer.touch(obj.placement.page_id)
-        if self._tracers:
-            self._record_access(obj.oid, obj.type_name, ELEMENTS_ATTR)
+        self._record_access(obj, obj.type_name, ELEMENTS_ATTR)
         return unwrap(element) in obj.elements
 
     # ------------------------------------------------------------------
@@ -1281,22 +1230,34 @@ class ObjectBase:
         post-operation invalidation (Sec. 5.3).
         """
         obj = self.objects.get(oid)
-        plan = self._plan(obj.type_name, op_name)
-        if plan[0] != "op":
+        plan = self._member_plans.get((obj.type_name, op_name))
+        if plan is None:
+            plan = self._plan(obj.type_name, op_name)
+        if plan.kind != "op":
             raise UnknownOperationError(f"{obj.type_name} has no operation {op_name}")
-        _, _, decl_type, operation, public = plan
-        if self.enforce_encapsulation and not internal and not public:
+        if not plan.public and not internal and self.enforce_encapsulation:
             raise EncapsulationError(f"{obj.type_name}.{op_name} is not public")
+        decl_type = plan.decl_type
+        operation = plan.operation
 
-        raw_args = tuple(unwrap(argument) for argument in args)
-        if len(raw_args) != len(operation.param_types):
+        param_types = operation.param_types
+        if len(args) != len(param_types):
             raise TypeCheckError(
-                f"{decl_type}.{op_name} expects {len(operation.param_types)} "
-                f"argument(s), got {len(raw_args)}"
+                f"{decl_type}.{op_name} expects {len(param_types)} "
+                f"argument(s), got {len(args)}"
             )
-        for expected, raw in zip(operation.param_types, raw_args):
-            self.schema.check_value(expected, raw, type_of_oid=self.objects.type_of)
+        raw_args: tuple = ()
+        if args:
+            raw_args = tuple(
+                [a._oid if isinstance(a, Handle) else a for a in args]
+            )
+            check_value = self.schema.check_value
+            type_of = self.objects.type_of
+            for expected, raw in zip(param_types, raw_args):
+                check_value(expected, raw, type_of_oid=type_of)
 
+        state = self._invocation
+        materializing = state.materializing_depth
         gmr = self._gmr
         # Materialized fast path: outside a materialization, invocation of
         # a materialized function becomes a forward query on its GMR.
@@ -1304,7 +1265,7 @@ class ObjectBase:
         # read path must stay free to proceed during a pool drain.
         if (
             gmr is not None
-            and not self._materializing_depth
+            and not materializing
             and gmr.is_materialized_op(decl_type, op_name)
         ):
             return gmr.retrieve_forward_op(decl_type, op_name, (oid,) + raw_args)
@@ -1319,17 +1280,18 @@ class ObjectBase:
         # (the paper's standing assumption), and any conflict with a
         # concurrent update is caught by the write-epoch check before
         # the result is committed.
-        if self._shard_locks is not None and self._materializing_depth:
+        if self._shard_locks is not None and materializing:
             return self._invoke_body(
-                obj, oid, op_name, decl_type, operation, raw_args
+                state, obj, oid, op_name, decl_type, operation, raw_args
             )
         with self._update_lock:
             return self._invoke_body(
-                obj, oid, op_name, decl_type, operation, raw_args
+                state, obj, oid, op_name, decl_type, operation, raw_args
             )
 
     def _invoke_body(
         self,
+        state: _InvocationState,
         obj: StoredObject,
         oid: Oid,
         op_name: str,
@@ -1338,55 +1300,65 @@ class ObjectBase:
         raw_args: tuple,
     ) -> Any:
         gmr = self._gmr
+        level = self.config.level
+        notifies = level.notifies
         # Compensating actions on declared operations run before the body.
-        compensated: frozenset[str] = frozenset()
+        compensated: frozenset[str] = _NO_FIDS
         if (
             gmr is not None
-            and self.level.notifies
-            and not self._suppress_depth
-            and not self._materializing_depth
+            and notifies
+            and not state.suppress_depth
+            and not state.materializing_depth
         ):
             compensated = self._compensate_if_registered(
                 obj, decl_type, op_name, raw_args
             )
 
-        strict = self._is_strict(obj.type_name)
-        info_hiding = (
-            self.level is InstrumentationLevel.INFO_HIDING
-            and strict
-            and gmr is not None
+        strict = self._strict_cache.get(obj.type_name)
+        if strict is None:
+            strict = self._is_strict(obj.type_name)
+        # Sec. 5.3 information hiding, or an effect a compensating action
+        # already handled: the body's elementary updates stay silent and
+        # this operation performs the single invalidation afterwards.
+        hidden = gmr is not None and (
+            bool(compensated)
+            or (strict and level is InstrumentationLevel.INFO_HIDING)
         )
+        post_invalidate = hidden and not state.suppress_depth and notifies
         # Record the strictly-encapsulated receiver as one opaque unit
         # while tracing ("only this object, but none of its subobjects,
         # have to be marked", Sec. 5.3).
-        opaque = strict and bool(self._tracers)
-        post_invalidate = (
-            (info_hiding or bool(compensated))
-            and not self._suppress_depth
-            and self.level.notifies
-        )
-        suppress = (info_hiding or bool(compensated)) and gmr is not None
+        opaque = strict and bool(state.tracers)
 
-        if opaque and not self._opaque_depth:
-            self._record_object_only(oid)
         if opaque:
-            self._opaque_depth += 1
-        if suppress:
-            self._suppress_depth += 1
+            if not state.opaque_depth:
+                for tracer in state.tracers:
+                    tracer.record_object(oid)
+            state.opaque_depth += 1
+        if hidden:
+            state.suppress_depth += 1
         try:
-            self_handle = Handle(self, oid, internal=True)
-            wrapped = tuple(
-                Handle(self, raw) if isinstance(raw, Oid) else raw
-                for raw in raw_args
-            )
-            result = operation.body(self_handle, *wrapped)
+            self_handle = new_handle(Handle)
+            bind_db(self_handle, self)
+            bind_oid(self_handle, oid)
+            bind_internal(self_handle, True)
+            if raw_args:
+                result = operation.body(
+                    self_handle,
+                    *[
+                        Handle(self, raw) if isinstance(raw, Oid) else raw
+                        for raw in raw_args
+                    ],
+                )
+            else:
+                result = operation.body(self_handle)
         finally:
             if opaque:
-                self._opaque_depth -= 1
-            if suppress:
-                self._suppress_depth -= 1
+                state.opaque_depth -= 1
+            if hidden:
+                state.suppress_depth -= 1
 
-        if post_invalidate and gmr is not None:
+        if post_invalidate:
             invalidates = self._invalidated_fct(obj.type_name, op_name)
             conservative = gmr.batch_conservative
             if conservative:
@@ -1413,11 +1385,12 @@ class ObjectBase:
         "modified versions" of the materialized functions are invoked,
         i.e. the real implementations run under tracing.
         """
-        self._materializing_depth += 1
+        state = self._invocation
+        state.materializing_depth += 1
         try:
             result = self.invoke(args[0], info.op_name, args[1:], internal=True)
         finally:
-            self._materializing_depth -= 1
+            state.materializing_depth -= 1
         return unwrap(result)
 
     # ------------------------------------------------------------------

@@ -19,14 +19,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterator
 
+from repro.errors import ObjectError
 from repro.gom.oid import Oid
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gom.database import ObjectBase
-
-_RESERVED = frozenset(
-    {"_db", "_oid", "_internal", "oid", "type_name", "insert", "remove", "contains"}
-)
 
 
 class Handle:
@@ -35,9 +32,9 @@ class Handle:
     __slots__ = ("_db", "_oid", "_internal")
 
     def __init__(self, db: "ObjectBase", oid: Oid, *, internal: bool = False) -> None:
-        object.__setattr__(self, "_db", db)
-        object.__setattr__(self, "_oid", oid)
-        object.__setattr__(self, "_internal", internal)
+        bind_db(self, db)
+        bind_oid(self, oid)
+        bind_internal(self, internal)
 
     # -- identity ---------------------------------------------------------------
 
@@ -60,7 +57,10 @@ class Handle:
         return hash(self._oid)
 
     def __repr__(self) -> str:
-        return f"<{self.type_name} {self._oid!r}>"
+        try:
+            return f"<{self.type_name} {self._oid!r}>"
+        except ObjectError:
+            return f"<deleted {self._oid!r}>"
 
     # -- member access -----------------------------------------------------------
 
@@ -102,8 +102,19 @@ class Handle:
         return list(self._db.collection_iter(self))
 
 
+# ``Handle.__setattr__`` refuses every assignment, so the three slots are
+# filled through their descriptors' C-level ``__set__``.  The hot paths of
+# ``repro.gom`` build a handle inline — ``new_handle(Handle)`` plus the
+# three binders, no Python frame; ``Handle(db, oid, internal=...)`` is the
+# same thing behind one.
+new_handle = Handle.__new__
+bind_db = Handle._db.__set__
+bind_oid = Handle._oid.__set__
+bind_internal = Handle._internal.__set__
+
+
 def unwrap(value: Any) -> Any:
     """Convert a Handle to its OID; pass every other value through."""
     if isinstance(value, Handle):
-        return value.oid
+        return value._oid
     return value

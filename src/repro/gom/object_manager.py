@@ -27,11 +27,18 @@ class ObjectManager:
         self._schema = schema
         self._pages = page_store
         self._oids = OidGenerator()
-        self._objects: dict[Oid, StoredObject] = {}
-        self._extents: dict[str, list[Oid]] = {}
+        #: Live objects by ``oid.value``.  Keyed by the int so a lookup
+        #: hashes in C rather than through the dataclass-generated
+        #: ``Oid.__hash__``; ``delete`` removes the entry.
+        #: :class:`~repro.gom.database.ObjectBase` reads it directly on
+        #: the member-access path; only this class writes it.
+        self.live: dict[int, StoredObject] = {}
+        #: Per dynamic type, its instances in creation order (a dict used
+        #: as an ordered set, so ``delete`` is O(1)).
+        self._extents: dict[str, dict[Oid, None]] = {}
 
     def __len__(self) -> int:
-        return len(self._objects)
+        return len(self.live)
 
     def peek_next_oid(self) -> Oid:
         """The OID the next ``create`` will receive (without consuming it).
@@ -66,8 +73,8 @@ class ObjectManager:
         oid = self._oids.next()
         obj = StoredObject(oid, type_name, data=data, elements=elements)
         obj.placement = self._pages.place(type_name, obj.size_estimate())
-        self._objects[oid] = obj
-        self._extents.setdefault(type_name, []).append(oid)
+        self.live[oid.value] = obj
+        self._extents.setdefault(type_name, {})[oid] = None
         return obj
 
     def restore(
@@ -87,14 +94,14 @@ class ObjectManager:
             raise NoSuchObjectError(f"{oid!r} is already live")
         obj = StoredObject(oid, type_name, data=data, elements=elements)
         obj.placement = self._pages.place(type_name, obj.size_estimate())
-        self._objects[oid] = obj
-        self._extents.setdefault(type_name, []).append(oid)
+        self.live[oid.value] = obj
+        self._extents.setdefault(type_name, {})[oid] = None
         if oid.value >= self._oids._next:
             self._oids._next = oid.value + 1
         return obj
 
     def get(self, oid: Oid) -> StoredObject:
-        obj = self._objects.get(oid)
+        obj = self.live.get(oid.value)
         if obj is None:
             raise NoSuchObjectError(f"{oid!r} does not denote a live object")
         if obj.deleted:
@@ -102,7 +109,7 @@ class ObjectManager:
         return obj
 
     def exists(self, oid: Oid) -> bool:
-        obj = self._objects.get(oid)
+        obj = self.live.get(oid.value)
         return obj is not None and not obj.deleted
 
     def exists_all(self, oids: "Iterable[Oid]") -> bool:
@@ -117,15 +124,10 @@ class ObjectManager:
     def delete(self, oid: Oid) -> StoredObject:
         obj = self.get(oid)
         obj.deleted = True
-        extent = self._extents.get(obj.type_name)
-        if extent is not None:
-            try:
-                extent.remove(oid)
-            except ValueError:
-                pass
+        self._extents[obj.type_name].pop(oid, None)
         if obj.placement is not None:
             self._pages.remove(obj.placement)
-        del self._objects[oid]
+        del self.live[oid.value]
         return obj
 
     # -- extensions -------------------------------------------------------------
@@ -148,7 +150,7 @@ class ObjectManager:
         return total
 
     def iter_objects(self) -> Iterator[StoredObject]:
-        return iter(self._objects.values())
+        return iter(self.live.values())
 
     def oids(self) -> Iterable[Oid]:
-        return self._objects.keys()
+        return [obj.oid for obj in self.live.values()]

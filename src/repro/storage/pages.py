@@ -192,6 +192,9 @@ class BufferManager:
         self.stats = BufferStats()
         self._resident: OrderedDict[int, None] = OrderedDict()
         self._dirty: set[int] = set()
+        #: The page touched last: resident and already at the MRU end,
+        #: so touching it again is a hit that reorders nothing.
+        self._last: int | None = None
 
     def touch(self, page_id: int, *, write: bool = False) -> bool:
         """Access a page; returns True on a buffer hit."""
@@ -200,6 +203,10 @@ class BufferManager:
         if write:
             stats.logical_writes += 1
             self._dirty.add(page_id)
+        if page_id == self._last:
+            stats.hits += 1
+            return True
+        self._last = page_id
         resident = self._resident
         if page_id in resident:
             resident.move_to_end(page_id)
@@ -225,6 +232,7 @@ class BufferManager:
         """Drop all resident pages without write-backs (cold start)."""
         self._resident.clear()
         self._dirty.clear()
+        self._last = None
 
     def reset_stats(self) -> None:
         self.stats = BufferStats()

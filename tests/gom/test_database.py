@@ -160,6 +160,23 @@ class TestDelete:
         db.delete(point)
         assert db.extension("Point") == []
 
+    def test_extension_order_is_creation_order_minus_deletions(self, db):
+        db.define_tuple_type("Point3", {"Z": "float"}, supertype="Point")
+        a, b = db.new("Point"), db.new("Point")
+        p, q = db.new("Point3"), db.new("Point3")
+        c = db.new("Point")
+        db.delete(a)
+        db.delete(p)
+        d, r = db.new("Point"), db.new("Point3")
+        db.delete(c)
+        e = db.new("Point")
+        # Own extent first, then each subtype's, each in creation order.
+        assert db.extension("Point") == [b, d, e, q, r]
+        assert db.objects.own_extent("Point") == [b.oid, d.oid, e.oid]
+        assert db.objects.extension("Point3") == [q.oid, r.oid]
+        assert db.objects.extension_size("Point") == 5
+        assert [h.oid for h in db.extension("Point")] == db.objects.extension("Point")
+
     def test_access_after_delete_raises(self, db):
         point = db.new("Point")
         db.delete(point)

@@ -238,3 +238,72 @@ class TestEvictionPaths:
         clean.touch(1)
         clean.touch(2)
         assert expensive > model.cost(clean.stats)
+
+
+class _ReferenceLRU:
+    """The buffer policy spelled out on a plain list, for comparison."""
+
+    def __init__(self, capacity):
+        self.capacity, self.order, self.dirty = capacity, [], set()
+        self.reads = self.writes = self.hits = self.misses = self.writebacks = 0
+
+    def touch(self, page, write):
+        self.reads += 1
+        if write:
+            self.writes += 1
+            self.dirty.add(page)
+        hit = page in self.order
+        if hit:
+            self.order.remove(page)
+            self.hits += 1
+        else:
+            self.misses += 1
+        self.order.append(page)
+        if len(self.order) > self.capacity:
+            victim = self.order.pop(0)
+            if victim in self.dirty:
+                self.dirty.discard(victim)
+                self.writebacks += 1
+        return hit
+
+    def flush(self):
+        count = len(self.dirty & set(self.order))
+        self.writebacks += count
+        self.dirty.clear()
+        return count
+
+    def evict_all(self):
+        self.order.clear()
+        self.dirty.clear()
+
+
+class TestBufferAgainstReference:
+    @pytest.mark.parametrize("capacity", [1, 2, 32])
+    def test_random_touches_match_reference_lru(self, capacity):
+        """Same return values and same five counters as the reference —
+        repeated touches of one page (the short-circuited hit) included."""
+        import dataclasses
+        import random
+
+        rng = random.Random(capacity)
+        buffer, reference = BufferManager(capacity=capacity), _ReferenceLRU(capacity)
+        page = 0
+        for _ in range(10_000):
+            draw = rng.random()
+            if draw < 0.01:
+                assert buffer.flush() == reference.flush()
+            elif draw < 0.02:
+                buffer.evict_all()
+                reference.evict_all()
+            else:
+                if rng.random() < 0.6:  # else: touch the same page again
+                    page = rng.randrange(2 * capacity + 2)
+                write = rng.random() < 0.3
+                assert buffer.touch(page, write=write) == reference.touch(page, write)
+        assert dataclasses.astuple(buffer.stats) == (
+            reference.reads,
+            reference.writes,
+            reference.hits,
+            reference.misses,
+            reference.writebacks,
+        )
