@@ -280,6 +280,10 @@ class GMR:
     def has_errors(self, fid: str) -> bool:
         return self.store.has_errors(self.column_of(fid))
 
+    def sample_result(self, fid: str) -> Any:
+        """A scalar result ``fid`` has held (see the store's method)."""
+        return self.store.sample_result(self.column_of(fid))
+
     def backward(
         self,
         fid: str,

@@ -797,6 +797,17 @@ class FuzzGenerator:
 
     # -- shared ---------------------------------------------------------
 
+    def predicate(self, var: str) -> str:
+        """One ``where`` clause of the domain's predicate grammar over
+        ``var`` — ``c`` (Cuboid) for geometry; ``e``/``j``/``p``
+        (Employee/Job/Project) for company.  The metamorphic query
+        tests draw from here without generating a whole script."""
+        if self.domain == "geometry":
+            if var != "c":
+                raise ValueError("geometry predicates range over 'c'")
+            return self._geo_predicate()
+        return self._co_predicate(var)
+
     def _broad_query(self) -> str:
         if self.domain == "geometry":
             return "range c:Cuboid retrieve c.CuboidID, c.volume, c.weight"

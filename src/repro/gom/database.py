@@ -1442,16 +1442,16 @@ class ObjectBase:
     # Queries (GOMql)
     # ------------------------------------------------------------------
 
-    def query(self, text: str) -> Any:
+    def query(self, text: str, params: dict | None = None) -> Any:
         """Parse and execute a GOMql statement.
 
         ``retrieve`` queries return a list of result rows (or a scalar for
         aggregate queries); ``materialize`` statements create the GMR and
-        return it.
+        return it.  ``params`` binds the statement's bare identifiers.
         """
         from repro.gomql import run_statement
 
-        return run_statement(self, text)
+        return run_statement(self, text, params)
 
     def explain(self, text: str | None = None, params: dict | None = None):
         """Explain a GOMql query, or — called without arguments — the

@@ -225,18 +225,65 @@ def _domain(db, decl: RangeDecl, env: dict[str, Any]) -> tuple[list[Handle], str
     )
 
 
+def plan_range(
+    db, decl: RangeDecl, where: QPred | None, env: dict[str, Any]
+) -> tuple[str, Any]:
+    """Choose the access path of the outermost typed range.
+
+    Sec. 3.2: the query is reformulated onto the GMR or an index *before*
+    it is evaluated, so the range's extension is built only for a scan.
+    Returns ``("gmr-backward", BackwardPlan)``, ``("attr-index", oids)``
+    or ``("scan", None)``.  This is the one ladder — execution and
+    EXPLAIN both read it.  Conjuncts referencing inner (still unbound)
+    variables are ignored by the planner and re-checked by the residual
+    predicate evaluation.
+    """
+    var, type_name = decl.var, decl.type_name
+    stash_range_type(env, var, type_name)
+    backward = find_backward_plan(db, var, type_name, where, env, eval_expr)
+    if backward is not None:
+        return "gmr-backward", backward
+    indexed = find_index_plan(db, var, type_name, where, env, eval_expr)
+    if indexed is not None:
+        return "attr-index", indexed
+    return "scan", None
+
+
+def _planned_candidates(
+    db, decl: RangeDecl, where: QPred | None, env: dict[str, Any]
+) -> list[Handle] | None:
+    """The planned range's candidates; None when only a scan answers it."""
+    kind, plan = plan_range(db, decl, where, env)
+    if kind == "attr-index":
+        return [db.handle(oid) for oid in plan if db.objects.exists(oid)]
+    if kind == "scan":
+        return None
+    bounds = plan.bounds
+    matches = db.gmr_manager.backward_query(
+        plan.fid,
+        bounds.low,
+        bounds.high,
+        include_low=bounds.include_low,
+        include_high=bounds.include_high,
+    )
+    return [
+        db.handle(args[0])
+        for _value, args in matches
+        if tuple(args[1:]) == plan.fixed_args
+        and isinstance(args[0], Oid)
+        and db.objects.exists(args[0])
+    ]
+
+
 def _execute_query(db, query: Query, env: dict[str, Any]) -> Any:
     domains: list[tuple[RangeDecl, list[Handle]]] = []
     for index, decl in enumerate(query.ranges):
-        candidates, element_type = _domain(db, decl, env)
-        stash_range_type(env, decl.var, element_type)
+        candidates = None
         if index == 0 and db.schema.has_type(decl.type_name):
-            # Plan the outermost variable; conjuncts referencing inner
-            # (still unbound) variables are ignored by the planner and
-            # re-checked by the residual predicate evaluation.
-            planned = _plan_candidates(db, decl, element_type, query.where, env)
-            if planned is not None:
-                candidates = planned
+            candidates = _planned_candidates(db, decl, query.where, env)
+        if candidates is None:
+            candidates, element_type = _domain(db, decl, env)
+            stash_range_type(env, decl.var, element_type)
         domains.append((decl, candidates))
 
     aggregates = [
@@ -304,35 +351,6 @@ def _aggregate(func: str, values: list[Any]) -> Any:
             f"aggregate {func}() not applicable to these values"
         ) from exc
     raise QueryError(f"unknown aggregate {func}")
-
-
-def _plan_candidates(
-    db, decl: RangeDecl, element_type: str, where: QPred | None, env: dict[str, Any]
-) -> list[Handle] | None:
-    def evaluator(expr: QExpr, environment: dict[str, Any]) -> Any:
-        return eval_expr(expr, environment)
-
-    backward = find_backward_plan(db, decl.var, element_type, where, env, evaluator)
-    if backward is not None:
-        manager = db.gmr_manager
-        matches = manager.backward_query(
-            backward.fid,
-            backward.bounds.low,
-            backward.bounds.high,
-            include_low=backward.bounds.include_low,
-            include_high=backward.bounds.include_high,
-        )
-        oids: list[Handle] = []
-        for _value, args in matches:
-            if tuple(args[1:]) != backward.fixed_args:
-                continue
-            if isinstance(args[0], Oid) and db.objects.exists(args[0]):
-                oids.append(db.handle(args[0]))
-        return oids
-    indexed = find_index_plan(db, decl.var, element_type, where, env, evaluator)
-    if indexed is not None:
-        return [db.handle(oid) for oid in indexed if db.objects.exists(oid)]
-    return None
 
 
 # ---------------------------------------------------------------------------

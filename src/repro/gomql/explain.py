@@ -15,13 +15,8 @@ from typing import Any
 
 from repro.errors import InternalError
 from repro.gomql.ast import MaterializeStmt, Query
-from repro.gomql.executor import eval_expr
+from repro.gomql.executor import plan_range
 from repro.gomql.parser import parse_statement
-from repro.gomql.planner import (
-    find_backward_plan,
-    find_index_plan,
-    stash_range_type,
-)
 
 
 @dataclass(frozen=True)
@@ -82,41 +77,24 @@ def explain_statement(
                            f"bound collection {decl.type_name}")
             )
             continue
-        stash_range_type(environment, decl.var, decl.type_name)
-        if index == 0 and db.has_gmr_manager:
-            backward = find_backward_plan(
-                db, decl.var, decl.type_name, stmt.where, environment, eval_expr
-            )
-            if backward is not None:
-                gmr = db.gmr_manager.gmr_of(backward.fid)
-                bounds = backward.bounds
-                detail = (
-                    f"{gmr.name} on {backward.fid}, range "
-                    f"{'[' if bounds.include_low else '('}"
-                    f"{bounds.low}, {bounds.high}"
-                    f"{']' if bounds.include_high else ')'}"
-                )
-                paths.append(
-                    AccessPath(decl.var, decl.type_name, "gmr-backward", detail)
-                )
-                continue
-        indexed = (
-            find_index_plan(
-                db, decl.var, decl.type_name, stmt.where, environment, eval_expr
-            )
+        # Only the outermost range is planned; the ladder is the
+        # executor's own, so EXPLAIN cannot report what it would not do.
+        kind, plan = (
+            plan_range(db, decl, stmt.where, environment)
             if index == 0
-            else None
+            else ("scan", None)
         )
-        if indexed is not None:
-            paths.append(
-                AccessPath(
-                    decl.var, decl.type_name, "attr-index",
-                    f"{len(indexed)} candidate(s)",
-                )
+        if kind == "gmr-backward":
+            bounds = plan.bounds
+            detail = (
+                f"{db.gmr_manager.gmr_of(plan.fid).name} on {plan.fid}, range "
+                f"{'[' if bounds.include_low else '('}"
+                f"{bounds.low}, {bounds.high}"
+                f"{']' if bounds.include_high else ')'}"
             )
-            continue
-        paths.append(
-            AccessPath(decl.var, decl.type_name, "scan",
-                       f"extension of {decl.type_name}")
-        )
+        elif kind == "attr-index":
+            detail = f"{len(plan)} candidate(s)"
+        else:
+            detail = f"extension of {decl.type_name}"
+        paths.append(AccessPath(decl.var, decl.type_name, kind, detail))
     return PlanExplanation("retrieve", tuple(paths))

@@ -94,6 +94,25 @@ class BackwardPlan:
     var: str
 
 
+def _orderable(sample: Any, *values: Any) -> bool:
+    """Can the index holding ``sample`` be probed with ``values``?
+
+    A plan must fail (or not) exactly like the scan it replaces; a
+    constant the stored keys cannot be ordered against would instead
+    escape as a raw ``TypeError`` from the index, so such a plan is
+    declined.  ``None`` is an absent bound / an empty index.
+    """
+    if sample is None:
+        return True
+    try:
+        for value in values:
+            if value is not None:
+                sample < value
+    except TypeError:
+        return False
+    return True
+
+
 def _try_const(
     expr: QExpr, env: dict[str, Any], evaluator: Callable[[QExpr, dict], Any]
 ) -> tuple[bool, Any]:
@@ -138,8 +157,12 @@ def find_backward_plan(
         # key is already in `candidates`, and an unusable-only key must
         # still resolve below (its empty bounds reject it there).
         calls[key] = (fid, fixed)
-        if not bounds.tighten(op, value):
-            continue
+        try:
+            bounds.tighten(op, value)
+        except TypeError:
+            # Two bounds on one invocation that cannot be ordered against
+            # each other: no range to probe, the scan reports the mistake.
+            return None
 
     for key, bounds in candidates.items():
         fid, fixed = calls[key]
@@ -151,6 +174,8 @@ def find_backward_plan(
         ):
             continue
         if bounds.low is None and bounds.high is None:
+            continue
+        if not _orderable(gmr.sample_result(fid), bounds.low, bounds.high):
             continue
         return BackwardPlan(fid=fid, bounds=bounds, fixed_args=fixed, var=var)
     return None
@@ -416,5 +441,9 @@ def find_index_plan(
             ok, value = _try_const(const_side, params, evaluator)
             if not ok:
                 continue
-            return list(index.search(unwrap(value)))
+            value = unwrap(value)
+            # Unset attributes are not indexed: only a scan finds them.
+            if value is None or not _orderable(index.sample_key(), value):
+                continue
+            return list(index.search(value))
     return None

@@ -137,6 +137,13 @@ class BPlusTree:
             return list(leaf.values[index])
         return []
 
+    def sample_key(self) -> Any:
+        """Some key of the tree (``None`` when empty), read off the root
+        without a page touch — catalog knowledge for the planner, which
+        declines a probe constant the keys cannot be ordered against."""
+        keys = self._root.keys
+        return keys[0] if keys else None
+
     def contains(self, key: Any, value: Any) -> bool:
         return value in self.search(key)
 

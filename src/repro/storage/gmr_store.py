@@ -36,8 +36,11 @@ _ROW_BASE_SIZE = 16
 _FIELD_SIZE = 12
 
 
+_SCALAR_TYPES = (int, float, str, bool)
+
+
 def _is_scalar(value: Any) -> bool:
-    return isinstance(value, (int, float, str, bool))
+    return isinstance(value, _SCALAR_TYPES)
 
 
 class GMRRow:
@@ -114,6 +117,8 @@ class GMRStore:
         self._rows: dict[tuple, GMRRow] = {}
         self._invalid: list[set[tuple]] = [set() for _ in range(fct_count)]
         self._errors: list[set[tuple]] = [set() for _ in range(fct_count)]
+        #: Per column, the scalar result stored last (None: none yet).
+        self._samples: list[Any] = [None] * fct_count
         if storage == "auto":
             storage = (
                 "mds" if arg_count + fct_count <= MDS_DIMENSION_LIMIT else "columns"
@@ -249,6 +254,10 @@ class GMRStore:
                 self._index_remove(row, fct_index, had_all=had_all)
             row.results[fct_index] = value
             row.valid[fct_index] = True
+            # A class test, not _is_scalar: no call on the update hot path
+            # (a subclass instance is simply not taken as the sample).
+            if value.__class__ in _SCALAR_TYPES:
+                self._samples[fct_index] = value
             if row.support:
                 row.support.pop(fct_index, None)
             self._invalid[fct_index].discard(args)
@@ -401,6 +410,15 @@ class GMRStore:
 
     def args(self) -> list[tuple]:
         return list(self._rows)
+
+    def sample_result(self, fct_index: int) -> Any:
+        """A scalar result this column has held (``None``: none so far).
+
+        Read without a page touch or a lock — catalog knowledge for the
+        planner, which declines a backward bound the indexed results
+        cannot be ordered against *before* any revalidation is forced.
+        """
+        return self._samples[fct_index]
 
     def backward(
         self,

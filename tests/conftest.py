@@ -3,11 +3,22 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro import InstrumentationLevel, ObjectBase
 from repro.domains.company import build_company_schema, populate_company
 from repro.domains.geometry import build_figure2_database, build_geometry_schema
 from repro.util.rng import DeterministicRng
+
+# Hypothesis profiles.  ``tier1`` (the default) is derandomized, so the
+# suite's wall time and verdict repeat run to run; ``nightly`` is the
+# randomized full budget the scheduled CI job selects with
+# ``--hypothesis-profile=nightly``.  ``max_examples`` reaches only the
+# tests that pin no budget of their own — the brute-force satisfiability
+# cross-check, half of tier-1's wall time at 100 examples.
+settings.register_profile("tier1", derandomize=True, max_examples=10)
+settings.register_profile("nightly", max_examples=100)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -13,9 +13,7 @@ Two kinds of invariant, neither of which is a wall-clock number:
 
 from __future__ import annotations
 
-import cProfile
 import dataclasses
-import pstats
 
 from repro import InstrumentationLevel, ObjectBase, Strategy
 from repro.domains.geometry import (
@@ -26,6 +24,7 @@ from repro.domains.geometry import (
 )
 from repro.observe.config import MaterializationConfig
 from repro.util.rng import DeterministicRng
+from tests._profile import calls
 
 CUBOIDS = 50
 UPDATES = 30
@@ -90,22 +89,12 @@ class TestPageTouchGolden:
         assert (stats.invalidate_calls, stats.rematerializations) == GOLDEN_MAINTENANCE
 
 
-def _calls(action) -> int:
-    """Function calls (Python and C, recursive ones included) ``cProfile``
-    sees while ``action`` runs."""
-    profile = cProfile.Profile()
-    profile.enable()
-    action()
-    profile.disable()
-    return pstats.Stats(profile).total_calls
-
-
 class TestCallBudget:
     def test_direct_volume_evaluation(self):
         db = ObjectBase(config=MaterializationConfig(level=InstrumentationLevel.NONE))
         cuboid = _populate(db, DeterministicRng(7))[0]
         cuboid.volume()  # compile the member plans
-        assert _calls(cuboid.volume) <= VOLUME_CALL_BUDGET
+        assert calls(cuboid.volume) <= VOLUME_CALL_BUDGET
 
     def test_one_scale_with_immediate_rematerialization(self):
         db = ObjectBase(config=MaterializationConfig(level=InstrumentationLevel.OBJ_DEP))
@@ -113,4 +102,4 @@ class TestCallBudget:
         db.materialize([("Cuboid", "volume")], strategy=Strategy.IMMEDIATE)
         factor = create_vertex(db, 2.0, 2.0, 2.0)
         cuboid.scale(factor)
-        assert _calls(lambda: cuboid.scale(factor)) <= SCALE_CALL_BUDGET
+        assert calls(lambda: cuboid.scale(factor)) <= SCALE_CALL_BUDGET

@@ -92,6 +92,15 @@ class TestRetrieve:
         )
         assert len(result) == 1
 
+    def test_db_query_forwards_params_like_explain(self, geometry_db):
+        db, _ = geometry_db
+        text = "range c: Cuboid retrieve c.CuboidID where c.volume > lo"
+        params = {"lo": 250.0}
+        assert db.query(text, params) == run_statement(db, text, params) == [1]
+        assert db.explain(text, params).paths[0].kind == "scan"
+        with pytest.raises(QueryError, match="unbound identifier 'lo'"):
+            db.query(text)
+
     def test_object_parameter_comparison(self, geometry_db):
         db, fixture = geometry_db
         result = run_statement(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ExecutionError
 from repro.gomql import run_statement
 from repro.gomql.explain import explain_statement
 
@@ -95,3 +96,50 @@ class TestExplain:
             "range a: Cuboid, b: Cuboid retrieve a where a.Mat = b.Mat"
         )
         assert [path.kind for path in plan.paths] == ["scan", "scan"]
+
+
+class TestExplainMatchesExecution:
+    """EXPLAIN and execution read one ladder: a range is enumerated
+    (``ObjectBase.extension``) exactly when its explained kind is
+    ``scan`` — asserted against what execution did, not a string."""
+
+    CASES = [
+        ("range c: Cuboid retrieve c where c.volume > 250.0", ["gmr-backward"]),
+        ("range c: Cuboid retrieve c.volume where c.CuboidID = 2", ["attr-index"]),
+        ("range c: Cuboid retrieve c where c.Value > 1.0", ["scan"]),
+        ("range c: Cuboid retrieve c", ["scan"]),
+        ('range c: Cuboid retrieve c where c.volume > "x"', ["scan"]),
+        ("range c: Mine retrieve c.volume where c.volume > 250.0", ["binding"]),
+        (
+            "range a: Cuboid, b: Cuboid retrieve a where a.Mat = b.Mat",
+            ["scan", "scan"],
+        ),
+        (
+            "range a: Cuboid, b: Cuboid retrieve a, b "
+            "where a.volume > 250.0 and a.Mat = b.Mat",
+            ["gmr-backward", "scan"],
+        ),
+        (
+            "range c: Mine, m: Material retrieve c where c.Mat = m",
+            ["binding", "scan"],
+        ),
+    ]
+
+    @pytest.mark.parametrize("text, kinds", CASES)
+    def test_enumerated_ranges_are_the_explained_scans(
+        self, geometry_db, extension_calls, text, kinds
+    ):
+        db, fixture = geometry_db
+        db.materialize([("Cuboid", "volume")])
+        db.create_attr_index("Cuboid", "CuboidID")
+        params = {"Mine": fixture.workpieces}
+        plan = db.explain(text, params)
+        assert [path.kind for path in plan.paths] == kinds
+        assert extension_calls == []  # explaining enumerates nothing
+        try:
+            db.query(text, params)
+        except ExecutionError:
+            pass  # a failing scan still shows how its range was resolved
+        assert extension_calls == [
+            path.type_name for path in plan.paths if path.kind == "scan"
+        ]

@@ -10,9 +10,13 @@ bare ``TypeError``/``AttributeError``/``KeyError`` or as
 
 import pytest
 
-from repro import ObjectBase
+from repro import ObjectBase, Strategy
 from repro.domains.company import build_company_schema
-from repro.domains.geometry import build_geometry_schema, create_cuboid
+from repro.domains.geometry import (
+    build_geometry_schema,
+    create_cuboid,
+    create_vertex,
+)
 from repro.errors import ExecutionError, InternalError, QueryError
 
 
@@ -195,3 +199,78 @@ class TestCompanyNegativePaths:
             co_db.query("range e:Employee retrieve e.Nope")
         with pytest.raises(ExecutionError):
             co_db.query("range e:Employee retrieve e.Nope")
+
+
+class TestPlannedQueriesFailLikeTheScan:
+    """A planned query must fail (or not) exactly like the scan it
+    replaces: a constant the index keys cannot be ordered against
+    declines the plan, it never escapes as a raw ``TypeError`` from the
+    B+-tree or the GMR's result index."""
+
+    @pytest.fixture(params=[Strategy.IMMEDIATE, Strategy.LAZY], ids=str)
+    def planned_db(self, geo_db, request):
+        geo_db.create_attr_index("Cuboid", "CuboidID")
+        geo_db.materialize([("Cuboid", "volume")], strategy=request.param)
+        return geo_db
+
+    @pytest.mark.parametrize(
+        "where, params",
+        [('c.CuboidID = "x"', None), ("c.CuboidID = k", {"k": None})],
+    )
+    def test_index_plan_with_foreign_constant_answers_like_the_scan(
+        self, planned_db, where, params
+    ):
+        text = f"range c:Cuboid retrieve c.CuboidID where {where}"
+        assert planned_db.query(text, params) == []
+        assert planned_db.explain(text, params).paths[0].kind == "scan"
+        # The orderable twin is still answered through the index.
+        assert planned_db.query(text.split(" where ")[0] + " where c.CuboidID = 1") == [1]
+
+    def test_unset_attribute_is_found_despite_the_index(self, planned_db):
+        """``None`` is never an index key, so ``= None`` must scan."""
+        planned_db.create_attr_index("Cuboid", "Mat")
+        planned_db.new("Cuboid", CuboidID=2)
+        text = "range c:Cuboid retrieve c.CuboidID where c.Mat = m"
+        assert planned_db.query(text, {"m": None}) == [2]
+        (material,) = planned_db.extension("Material")
+        assert planned_db.explain(text, {"m": material}).paths[0].kind == "attr-index"
+        assert planned_db.query(text, {"m": material}) == [1]
+
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            ('c.volume > "x"', "cannot compare float > str"),
+            ('c.volume > "x" and c.volume > 3.0', "cannot compare float > str"),
+            ('c.volume > 3.0 and c.volume < "x"', "cannot compare float < str"),
+            ("c.volume < k", "cannot compare float < NoneType"),
+        ],
+    )
+    def test_backward_plan_with_foreign_bound_raises_like_the_scan(
+        self, planned_db, where, message
+    ):
+        text = f"range c:Cuboid retrieve c where {where}"
+        assert planned_db.explain(text, {"k": None}).paths[0].kind == "scan"
+        with pytest.raises(ExecutionError, match=message):
+            planned_db.query(text, {"k": None})
+
+    def test_declined_backward_plan_forces_no_revalidation(self, geo_db):
+        (material,) = geo_db.extension("Material")
+        create_cuboid(
+            geo_db, origin=(0.0, 0.0, 0.0), dims=(1.0, 1.0, 1.0),
+            material=material, value=1.0, cuboid_id=2,
+        )
+        geo_db.materialize([("Cuboid", "volume")], strategy=Strategy.LAZY)
+        for cuboid in geo_db.extension("Cuboid"):
+            cuboid.scale(create_vertex(geo_db, 2.0, 1.0, 1.0))
+        gmr = geo_db.gmr_manager.gmr_of("Cuboid.volume")
+        assert len(gmr.invalid_args("Cuboid.volume")) == 2
+        with pytest.raises(ExecutionError):
+            geo_db.query('range c:Cuboid retrieve c.CuboidID where c.volume > "x"')
+        # The scan failed on its first candidate (whose volume the forward
+        # call revalidated); a backward sweep would have healed both rows.
+        assert len(gmr.invalid_args("Cuboid.volume")) == 1
+        # The orderable twin is planned and does force the sweep.
+        assert geo_db.query(
+            "range c:Cuboid retrieve c.CuboidID where c.volume > 10.0"
+        ) == [1]
+        assert not gmr.invalid_args("Cuboid.volume")

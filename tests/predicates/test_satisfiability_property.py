@@ -86,7 +86,7 @@ _INTEGER_GRID = [Fraction(n) for n in range(-8, 9)]
 
 
 @given(conjunct=conjunctions())
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)  # budget: the profile's (tests/conftest.py)
 def test_agrees_with_brute_force(conjunct):
     assert is_satisfiable(conjunct) == brute_force(conjunct, _DENSE_GRID)
 
