@@ -1,13 +1,10 @@
-"""Ablation: immediate vs. lazy vs. snapshot maintenance disciplines.
+"""Ablation: immediate vs. lazy rematerialization.
 
-The paper's Sec. 4.1 tuning choice (immediate/lazy) plus the related-work
-snapshot discipline [Adiba/Lindsay], measured on one update-then-query
+The paper's Sec. 4.1 tuning choice, measured on one update-then-query
 profile:
 
 * *immediate* pays at update time,
-* *lazy* pays at (first) query time,
-* *snapshot* pays never — until an explicit refresh recomputes all —
-  at the price of stale answers in between.
+* *lazy* pays at (first) query time.
 """
 
 from _support import run_once
@@ -65,11 +62,11 @@ def _query_phase(db, handles, queries=60):
 
 
 def test_update_cost_ordering(benchmark):
-    """snapshot < lazy < immediate at update time."""
+    """lazy < immediate at update time."""
     costs = {}
-    for strategy in (Strategy.IMMEDIATE, Strategy.LAZY, Strategy.SNAPSHOT):
+    for strategy in (Strategy.IMMEDIATE, Strategy.LAZY):
         db, handles, _ = _build(strategy)
-        if strategy is Strategy.SNAPSHOT:
+        if strategy is Strategy.LAZY:
             point = benchmark.pedantic(
                 lambda db=db, handles=handles: _update_phase(db, handles),
                 rounds=1,
@@ -78,15 +75,13 @@ def test_update_cost_ordering(benchmark):
         else:
             point = _update_phase(db, handles)
         costs[strategy] = point.logical_reads
-    assert costs[Strategy.SNAPSHOT] <= costs[Strategy.LAZY]
     assert costs[Strategy.LAZY] < costs[Strategy.IMMEDIATE]
 
 
 def test_query_cost_ordering(benchmark):
-    """After an update burst, lazy pays at query time; snapshot stays
-    cheap but answers from the past until refreshed."""
-    results = {}
-    for strategy in (Strategy.IMMEDIATE, Strategy.LAZY, Strategy.SNAPSHOT):
+    """After an update burst, lazy pays at query time."""
+    reads = {}
+    for strategy in (Strategy.IMMEDIATE, Strategy.LAZY):
         db, handles, gmr = _build(strategy)
         _update_phase(db, handles)
         if strategy is Strategy.LAZY:
@@ -97,17 +92,6 @@ def test_query_cost_ordering(benchmark):
             )
         else:
             point = _query_phase(db, handles)
-        results[strategy] = (db, handles, gmr, point)
-
-    lazy_reads = results[Strategy.LAZY][3].logical_reads
-    immediate_reads = results[Strategy.IMMEDIATE][3].logical_reads
-    snapshot_reads = results[Strategy.SNAPSHOT][3].logical_reads
-    assert immediate_reads < lazy_reads       # immediate already paid
-    assert snapshot_reads < lazy_reads        # snapshot never pays...
-
-    # ... but the snapshot is stale until refreshed.
-    db, handles, gmr, _ = results[Strategy.SNAPSHOT]
-    stale = gmr.check_consistency(db)
-    assert stale, "updates must have outdated the snapshot"
-    db.gmr_manager.refresh_snapshot(gmr)
-    assert gmr.check_consistency(db) == []
+        reads[strategy] = point.logical_reads
+        assert gmr.check_consistency(db) == []
+    assert reads[Strategy.IMMEDIATE] < reads[Strategy.LAZY]  # immediate already paid

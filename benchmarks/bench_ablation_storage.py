@@ -1,30 +1,16 @@
-"""Ablation: GMR design choices the paper argues for.
+"""Ablation: the GMR access-path choice the paper argues for.
 
-1. **Separate vs. near-argument result storage** (Sec. 3.1): the paper
-   chose a separate data structure, citing Jhingran's POSTGRES analysis
-   where "separate caching (CS) ... proved to be almost always superior
-   to caching within the tuples (CT)".  With rows clustered separately,
-   a GMR scan touches few pages; interleaving rows with objects destroys
-   that clustering.
-
-2. **MDS (grid file) vs. per-column B+ trees** (Sec. 3.3): for low-arity
-   GMRs the paper uses a single multi-dimensional structure; both access
-   paths must return identical backward answers.
-
-3. **RRR maintenance policy** (Sec. 4.1): removing entries and letting
-   the rematerialization re-insert them vs. the second-chance marking
-   algorithm — equal results, comparable costs.
+**MDS (grid file) vs. per-column B+ trees** (Sec. 3.3): for low-arity
+GMRs the paper uses a single multi-dimensional structure; both access
+paths must return identical backward answers.
 """
 
-from _support import run_once
-
 from repro import ObjectBase
-from repro.bench.runner import measure
 from repro.domains.geometry import build_geometry_schema, create_cuboid, create_material
 from repro.util.rng import DeterministicRng
 
 
-def _build(row_placement="separate", storage="auto", cuboids=300, policy="remove"):
+def _build(storage, cuboids=120):
     db = ObjectBase(buffer_pages=24)
     build_geometry_schema(db)
     rng = DeterministicRng(13)
@@ -38,44 +24,13 @@ def _build(row_placement="separate", storage="auto", cuboids=300, policy="remove
         )
         for index in range(cuboids)
     ]
-    gmr = db.materialize(
-        [("Cuboid", "volume")], row_placement=row_placement, storage=storage
-    )
-    db.gmr_manager.rrr_policy = policy
+    gmr = db.materialize([("Cuboid", "volume")], storage=storage)
     return db, handles, gmr
 
 
-def _row_scan_cost(db, gmr):
-    """Cost of scanning every materialized result (e.g. an aggregate
-    over all volumes).  This is where clustering matters: backward range
-    probes go through the index, but result scans touch the row pages."""
-
-    def work():
-        total = 0.0
-        for row in gmr.rows():
-            if row.valid[0]:
-                total += row.results[0]
-        return total
-
-    db.buffer.evict_all()
-    return measure(db, work, 0.0)
-
-
-def test_separate_storage_beats_near_argument_scans(benchmark):
-    db_separate, _, gmr_separate = _build(row_placement="separate")
-    db_near, _, gmr_near = _build(row_placement="with_arguments")
-    separate = _row_scan_cost(db_separate, gmr_separate)
-
-    near = benchmark.pedantic(
-        lambda: _row_scan_cost(db_near, gmr_near), rounds=1, iterations=1
-    )
-    # Jhingran's CS vs CT: separate clustering touches far fewer pages.
-    assert separate.page_ios < near.page_ios
-
-
 def test_mds_and_columns_agree(benchmark):
-    db_mds, _, gmr_mds = _build(storage="mds", cuboids=120)
-    db_col, _, gmr_col = _build(storage="columns", cuboids=120)
+    db_mds, _, gmr_mds = _build("mds")
+    db_col, _, gmr_col = _build("columns")
 
     def answers(db):
         return sorted(
@@ -89,32 +44,3 @@ def test_mds_and_columns_agree(benchmark):
     result = benchmark.pedantic(lambda: answers(db_mds), rounds=1, iterations=1)
     assert result == reference
     assert len(reference) > 0
-
-
-def test_rrr_policies_cost_comparably(benchmark):
-    """Second-chance marking never does more GMR work than removal."""
-    from repro.domains.geometry import create_vertex
-
-    costs = {}
-    for policy in ("remove", "second_chance"):
-        db, handles, gmr = _build(policy=policy, cuboids=150)
-        rng = DeterministicRng(3)
-        param = create_vertex(db, 1.0, 1.0, 1.0)
-
-        def updates(db=db, handles=handles, rng=rng, param=param):
-            for _ in range(60):
-                cuboid = rng.choice(handles)
-                param.set_X(rng.uniform(0.9, 1.1))
-                cuboid.scale(param)
-
-        if policy == "second_chance":
-            point = benchmark.pedantic(
-                lambda: measure(db, updates, 0.0), rounds=1, iterations=1
-            )
-        else:
-            point = measure(db, updates, 0.0)
-        costs[policy] = db.gmr_manager.stats.rematerializations
-        assert gmr.check_consistency(db) == []
-    # Identical rematerialization counts: the policies differ only in
-    # RRR bookkeeping.
-    assert costs["remove"] == costs["second_chance"]

@@ -52,7 +52,6 @@ from repro.errors import (
 )
 from repro.core.restricted import RestrictionSpec
 from repro.predicates import Variable
-from repro.asr import AccessSupportRelation, ASRManager
 from repro.gom.transactions import TransactionError
 from repro.persistence import (
     CheckpointReport,
@@ -85,8 +84,6 @@ __all__ = [
     "ValueRestriction",
     "RangeRestriction",
     "Variable",
-    "AccessSupportRelation",
-    "ASRManager",
     "TransactionError",
     "MaterializationConfig",
     "ObserveConfig",

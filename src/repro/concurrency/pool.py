@@ -217,7 +217,7 @@ class RevalidationWorkerPool:
         synchronous ``scheduler.revalidate()`` would have processed.
 
         If the calling thread already holds the update lock (e.g.
-        quiescing inside a ``db.batch()`` scope or an update listener)
+        quiescing inside a ``db.batch()`` scope or an operation body)
         the workers can never acquire it, so waiting on the pool would
         spin until timeout; that case is detected and the queue is
         drained synchronously on the calling thread instead (the lock

@@ -51,7 +51,6 @@ class GMR:
         storage: str = "auto",
         name: str | None = None,
         capacity: int | None = None,
-        row_placement: str = "separate",
     ) -> None:
         if not functions:
             raise GMRDefinitionError("a GMR needs at least one function")
@@ -85,19 +84,6 @@ class GMR:
             info.short_name for info in functions
         ) + ">>"
         self._column_of = {info.fid: index for index, info in enumerate(functions)}
-        if row_placement == "separate":
-            row_segment = None
-        elif row_placement == "with_arguments":
-            # Jhingran's CT alternative: results live on the pages of the
-            # (first) argument type's objects.  The paper chose separate
-            # storage; this option exists for the storage ablation.
-            row_segment = arg_types[0]
-        else:
-            raise GMRDefinitionError(
-                f"unknown row placement {row_placement!r} "
-                f"(use 'separate' or 'with_arguments')"
-            )
-        self.row_placement = row_placement
         self.store = GMRStore(
             self.name,
             arg_count=len(arg_types),
@@ -105,7 +91,6 @@ class GMR:
             page_store=page_store,
             buffer=buffer,
             storage=storage,
-            row_segment=row_segment,
         )
         #: Pseudo-function id under which the restriction predicate's
         #: dependencies are tracked in the RRR (Sec. 6.1).

@@ -252,12 +252,6 @@ class GMRManager:
         self._queue = InvalidationQueue()
         self._batch_depth = 0
         self._flushing = False
-        #: RRR maintenance policy (Sec. 4.1): ``"remove"`` removes entries
-        #: in step 1 of the invalidation algorithms and lets the
-        #: rematerialization re-insert them; ``"second_chance"`` marks
-        #: them instead and removes only entries still marked at the next
-        #: invalidation (the paper's proposed alternative).
-        self.rrr_policy = "remove"
 
         # -- concurrency wiring (see repro.concurrency) ----------------
         #: True when the object base runs a revalidation worker pool
@@ -496,7 +490,6 @@ class GMRManager:
         name: str | None = None,
         populate: bool = True,
         capacity: int | None = None,
-        row_placement: str = "separate",
     ) -> GMR:
         """Create the GMR ``⟨⟨f1, ..., fm⟩⟩`` and (optionally) populate it.
 
@@ -526,7 +519,6 @@ class GMRManager:
             storage=storage,
             name=name,
             capacity=capacity,
-            row_placement=row_placement,
         )
         if gmr.name in self._gmrs:
             raise GMRDefinitionError(f"a GMR named {gmr.name} already exists")
@@ -541,10 +533,7 @@ class GMRManager:
         for info in infos:
             self._gmr_of_fid[info.fid] = gmr
             self._op_dispatch[(info.type_name, info.op_name)] = info.fid
-            if strategy is not Strategy.SNAPSHOT:
-                # Snapshot GMRs are refreshed periodically, never
-                # invalidated: they register no update dependencies.
-                self._deps.add_function(info)
+            self._deps.add_function(info)
         if gmr.restriction is not None and gmr.restriction.predicate is not None:
             self._gmr_of_fid[gmr.predicate_fid] = gmr
             self._deps.add_pairs(gmr.predicate_fid, self._predicate_pairs(gmr))
@@ -699,11 +688,10 @@ class GMRManager:
             with db.materialization_scope():
                 with db.trace() as tracer:
                     allowed = spec.allows(db, args)
-            if gmr.strategy is not Strategy.SNAPSHOT:
-                accessed = set(tracer.objects)
-                accessed.update(arg for arg in args if isinstance(arg, Oid))
-                for oid in accessed:
-                    self._rrr_insert(oid, gmr.predicate_fid, args)
+            accessed = set(tracer.objects)
+            accessed.update(arg for arg in args if isinstance(arg, Oid))
+            for oid in accessed:
+                self._rrr_insert(oid, gmr.predicate_fid, args)
             return allowed
         pfid = gmr.predicate_fid
         decision = self.breaker.acquire(pfid)
@@ -731,11 +719,10 @@ class GMRManager:
             raise failure
         if self.breaker.record_success(pfid):
             self.stats.breaker_closes += 1
-        if gmr.strategy is not Strategy.SNAPSHOT:
-            accessed = set(tracer.objects)
-            accessed.update(arg for arg in args if isinstance(arg, Oid))
-            for oid in accessed:
-                self._rrr_insert(oid, gmr.predicate_fid, args)
+        accessed = set(tracer.objects)
+        accessed.update(arg for arg in args if isinstance(arg, Oid))
+        for oid in accessed:
+            self._rrr_insert(oid, gmr.predicate_fid, args)
         return allowed
 
     def _rematerialize(self, gmr: GMR, fid: str, args: tuple) -> Any:
@@ -822,11 +809,10 @@ class GMRManager:
             raise ShardCommitConflict(fid)
         gmr.set_result(args, fid, value)
         self._note(fid, args, "rematerialized")
-        if gmr.strategy is not Strategy.SNAPSHOT:
-            accessed = set(tracer.objects)
-            accessed.update(arg for arg in args if isinstance(arg, Oid))
-            for oid in accessed:
-                self._rrr_insert(oid, fid, args)
+        accessed = set(tracer.objects)
+        accessed.update(arg for arg in args if isinstance(arg, Oid))
+        for oid in accessed:
+            self._rrr_insert(oid, fid, args)
         return value
 
     def _defer_conflicted(self, gmr: GMR, fid: str, args: tuple) -> None:
@@ -968,16 +954,6 @@ class GMRManager:
             last = self._rrr.remove(oid, fid, args)
             if last and self._db.objects.exists(oid):
                 self._db.objects.get(oid).obj_dep_fct.discard(fid)
-
-    def _sync_obj_dep(self, oid: Oid) -> None:
-        """Rebuild an object's ObjDepFct from its current RRR entries."""
-        with self._rrr_latch:
-            if not self._db.objects.exists(oid):
-                return
-            obj = self._db.objects.get(oid)
-            current = self._rrr.fids_of(oid)
-            obj.obj_dep_fct.clear()
-            obj.obj_dep_fct.update(current)
 
     def _rrr_pop_object(self, oid: Oid) -> dict[str, set[tuple]]:
         """Latched ``rrr.pop_object`` plus the ObjDepFct clear (the
@@ -1281,7 +1257,7 @@ class GMRManager:
         # fid keeps the per-fid pops (their processing re-registers
         # dependencies mid-wave, which grouped pre-popping would miss).
         grouped: dict[str, set[tuple]] | None = None
-        if self.rrr_policy != "second_chance" and len(relevant) > 1:
+        if len(relevant) > 1:
             pure_marks = True
             for fid in relevant:
                 gmr = self._gmr_of_fid.get(fid)
@@ -1294,15 +1270,7 @@ class GMRManager:
                 grouped = self._rrr_pop_args_grouped(oid, relevant)
         try:
             for fid in relevant:
-                if self.rrr_policy == "second_chance":
-                    # Step 1, second-chance variant: drop stale leftovers
-                    # from the previous round, mark the fresh entries and
-                    # process exactly those.
-                    with self._rrr_latch:
-                        self._rrr.pop_marked(oid, fid)
-                        args_set = self._rrr.mark_all(oid, fid)
-                    self._sync_obj_dep(oid)
-                elif grouped is not None:
+                if grouped is not None:
                     args_set = grouped[fid]
                 else:
                     args_set = self._rrr_pop_args(oid, fid)
@@ -1400,7 +1368,7 @@ class GMRManager:
             return
         schema = self._db.schema
         for gmr in self._gmrs.values():
-            if not gmr.complete or gmr.strategy is Strategy.SNAPSHOT:
+            if not gmr.complete:
                 continue
             positions = [
                 index
@@ -1813,10 +1781,6 @@ class GMRManager:
             self.stats.degraded_forward_calls += 1
             return self._degraded_value(gmr, fid, args)
         self.stats.forward_computes += 1
-        if not exists and gmr.strategy is Strategy.SNAPSHOT:
-            # Created after the last refresh: answer with the normal
-            # function; the snapshot extension stays fixed.
-            return self._db.call_function(gmr.function(fid), args)
         if not exists and gmr.is_restricted:
             try:
                 admitted = self._evaluate_predicate(gmr, args)
@@ -1932,27 +1896,6 @@ class GMRManager:
                 )
         return violations
 
-    def refresh_snapshot(self, gmr: GMR) -> int:
-        """Recompute a snapshot GMR against the current object base.
-
-        Drops the old extension and repopulates from the current type
-        extensions (the Adiba/Lindsay periodic refresh).  Returns the new
-        row count.
-
-        Runs under the object base's update lock (a no-op
-        single-threaded): the drop-and-repopulate mutates shared index
-        structures and must not interleave with a worker-pool drain.
-        """
-        if gmr.strategy is not Strategy.SNAPSHOT:
-            raise GMRDefinitionError(
-                f"{gmr.name} is not a snapshot GMR; use revalidate instead"
-            )
-        with self._maint_lock, self._all_shards():
-            for args in gmr.args():
-                gmr.remove_row(args)
-            self._populate(gmr)
-            return len(gmr)
-
     def backward_query(
         self,
         fid: str,
@@ -2004,21 +1947,20 @@ class GMRManager:
         if gmr is None:
             raise GMRDefinitionError(f"{fid} is not materialized")
         degraded: list[tuple[Any, tuple]] = []
-        if gmr.strategy is not Strategy.SNAPSHOT:
-            self.revalidate(gmr, fid)
-            for args in sorted(gmr.invalid_args(fid), key=repr):
-                if gmr.lookup(args) is None or not self._args_alive(args):
-                    continue
-                value = self._degraded_value(gmr, fid, args)
-                self.stats.degraded_forward_calls += 1
-                if in_range(
-                    value,
-                    low,
-                    high,
-                    include_low=include_low,
-                    include_high=include_high,
-                ):
-                    degraded.append((value, args))
+        self.revalidate(gmr, fid)
+        for args in sorted(gmr.invalid_args(fid), key=repr):
+            if gmr.lookup(args) is None or not self._args_alive(args):
+                continue
+            value = self._degraded_value(gmr, fid, args)
+            self.stats.degraded_forward_calls += 1
+            if in_range(
+                value,
+                low,
+                high,
+                include_low=include_low,
+                include_high=include_high,
+            ):
+                degraded.append((value, args))
         results = list(
             gmr.backward(
                 fid, low, high, include_low=include_low, include_high=include_high

@@ -32,13 +32,10 @@ class ReverseReferenceRelation:
     ) -> None:
         self._pages = page_store
         self._buffer = buffer
-        # oid → fid → {args: marked}.  The marked flag implements the
-        # paper's *second chance* variant of Sec. 4.1: instead of removing
-        # an entry in step 1 of the maintenance algorithms, it is marked;
-        # a re-insertion during rematerialization clears the mark, and an
-        # entry still marked at the next invalidation is a genuine
-        # leftover and is dropped.
-        self._entries: dict[Oid, dict[str, dict[tuple, bool]]] = {}
+        # oid → fid → {args: None}.  The innermost dict is an
+        # insertion-ordered set: the order popped argument lists come
+        # back in is what the page-touch goldens were recorded with.
+        self._entries: dict[Oid, dict[str, dict[tuple, None]]] = {}
         self._placements: dict[Oid, Placement] = {}
         self._size = 0
         #: Total probes (per-object bucket accesses).  Every maintenance
@@ -63,7 +60,7 @@ class ReverseReferenceRelation:
     # -- maintenance -----------------------------------------------------------
 
     def insert(self, oid: Oid, fid: str, args: tuple) -> bool:
-        """Insert ``[oid, fid, args]`` (if not present; clears any mark).
+        """Insert ``[oid, fid, args]`` (if not present).
 
         Returns True when this is the first entry of ``fid`` for ``oid``
         — the caller then adds ``fid`` to the object's ``ObjDepFct``.
@@ -72,14 +69,12 @@ class ReverseReferenceRelation:
         by_fct = self._entries.setdefault(oid, {})
         bucket = by_fct.get(fid)
         if bucket is None:
-            by_fct[fid] = {args: False}
+            by_fct[fid] = {args: None}
             self._size += 1
             return True
         if args not in bucket:
-            bucket[args] = False
+            bucket[args] = None
             self._size += 1
-        else:
-            bucket[args] = False  # re-used after an update: second chance
         return False
 
     def remove(self, oid: Oid, fid: str, args: tuple) -> bool:
@@ -143,51 +138,6 @@ class ReverseReferenceRelation:
         if by_fct is not None and not by_fct:
             del self._entries[oid]
         return popped
-
-    def mark_all(self, oid: Oid, fid: str) -> set[tuple]:
-        """Second-chance step 1: mark (rather than remove) the entries.
-
-        Returns the argument lists that were *unmarked* — those are the
-        ones the caller processes; entries already marked are stale
-        leftovers handled by :meth:`pop_marked`.
-        """
-        self._touch(oid, write=True)
-        by_fct = self._entries.get(oid)
-        if by_fct is None:
-            return set()
-        bucket = by_fct.get(fid)
-        if bucket is None:
-            return set()
-        fresh = {args for args, marked in bucket.items() if not marked}
-        for args in fresh:
-            bucket[args] = True
-        return fresh
-
-    def pop_marked(self, oid: Oid, fid: str) -> set[tuple]:
-        """Remove and return entries still marked from a prior round."""
-        self._touch(oid, write=True)
-        by_fct = self._entries.get(oid)
-        if by_fct is None:
-            return set()
-        bucket = by_fct.get(fid)
-        if bucket is None:
-            return set()
-        stale = {args for args, marked in bucket.items() if marked}
-        for args in stale:
-            del bucket[args]
-        self._size -= len(stale)
-        if not bucket:
-            del by_fct[fid]
-            if not by_fct:
-                del self._entries[oid]
-        return stale
-
-    def is_marked(self, oid: Oid, fid: str, args: tuple) -> bool:
-        by_fct = self._entries.get(oid)
-        if by_fct is None:
-            return False
-        bucket = by_fct.get(fid)
-        return bool(bucket and bucket.get(args, False))
 
     def pop_object(self, oid: Oid) -> dict[str, set[tuple]]:
         """Remove and return all entries of ``oid`` (used by forget_object)."""

@@ -1,4 +1,4 @@
-"""Rematerialization strategies (Sec. 3.1 / 4.1, related work [1]).
+"""Rematerialization strategies (Sec. 3.1 / 4.1).
 
 ``IMMEDIATE``
     An invalidated function result is recomputed as soon as the
@@ -18,14 +18,6 @@
     drain rematerializes the hottest invalid entries under a time/row
     budget, so forward queries rarely pay the on-demand recomputation
     that plain ``LAZY`` defers onto them.
-
-``SNAPSHOT``
-    The Adiba/Lindsay *database snapshot* discipline the paper contrasts
-    itself with: updates never touch the extension at all; queries read
-    the possibly stale snapshot, and an explicit
-    :meth:`~repro.core.manager.GMRManager.refresh_snapshot` recomputes
-    everything (periodic refresh).  Snapshot GMRs deliberately waive the
-    consistency guarantee of Def. 3.2 between refreshes.
 """
 
 from __future__ import annotations
@@ -39,7 +31,6 @@ class Strategy(Enum):
     IMMEDIATE = "immediate"
     LAZY = "lazy"
     DEFERRED = "deferred"
-    SNAPSHOT = "snapshot"
 
     @property
     def marks_only(self) -> bool:

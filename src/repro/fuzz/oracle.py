@@ -9,8 +9,8 @@ and then against a rotating subset of the full configuration matrix:
      OBJ_DEP,             LAZY,                       delta}
      INFO_HIDING}         DEFERRED}
 
-(``NONE`` never notifies and ``SNAPSHOT`` is stale by design — both
-would trivially diverge, so neither belongs in a correctness oracle.)
+(``NONE`` never notifies, so it would trivially diverge and does not
+belong in a correctness oracle; every ``Strategy`` member is covered.)
 
 A configuration *fails* when any query result differs from the
 reference, the final object extensions differ, a Def. 3.2 /

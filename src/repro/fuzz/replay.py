@@ -349,7 +349,8 @@ class Replayer:
 
 
 def check_invariants(db: ObjectBase) -> list[str]:
-    """The Def. 3.2 / Sec. 5.2 oracle over every non-snapshot GMR.
+    """The Def. 3.2 / Sec. 5.2 oracle over every GMR — no strategy is
+    exempt.
 
     Recompute-and-compare each GMR extension, require error flags only
     on error-state entries, and verify the RRR ↔ ObjDepFct lockstep.
@@ -357,13 +358,9 @@ def check_invariants(db: ObjectBase) -> list[str]:
     copy lives in the library so ``python -m repro.fuzz`` needs nothing
     from the test tree.)
     """
-    from repro.core.strategies import Strategy
-
     violations: list[str] = []
     manager = db.gmr_manager
     for gmr in manager.gmrs():
-        if gmr.strategy is Strategy.SNAPSHOT:
-            continue  # stale by design (refreshed, never invalidated)
         violations.extend(gmr.check_consistency(db))
         for fid in gmr.fids:
             for args in gmr.error_args(fid):

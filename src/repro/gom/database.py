@@ -63,6 +63,7 @@ from repro.storage.wal import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.function_registry import FunctionInfo, FunctionRegistry
     from repro.core.manager import GMRManager
+    from repro.gom.transactions import TransactionManager
     from repro.observe.config import MaterializationConfig
 
 _NO_FIDS: frozenset[str] = frozenset()
@@ -159,8 +160,8 @@ class ObjectBase:
         #: publishing a result computed from torn state.
         self._write_epoch = 0
         #: Elementary-update nesting depth of the thread holding the
-        #: update lock (listeners and invoked method bodies may issue
-        #: nested elementary updates); the epoch flips only at the
+        #: update lock (invoked method bodies may issue nested
+        #: elementary updates); the epoch flips only at the
         #: outermost level so it stays odd for the whole composite
         #: update.  Only ever touched under the global update lock.
         self._update_depth = 0
@@ -200,15 +201,11 @@ class ObjectBase:
         self._member_plans: dict[tuple[str, str], MemberPlan] = {}
         self._strict_cache: dict[str, bool] = {}
         self._attr_indexes: dict[tuple[str, str], BPlusTree] = {}
-        #: Update listeners: callables invoked after every elementary
-        #: update with (kind, oid, type_name, attr, old, new) where kind
-        #: is 'set' | 'insert' | 'remove' | 'create' | 'delete'.  Used by
-        #: subsystems that maintain derived structures outside the GMR
-        #: manager (e.g. Access Support Relations).
-        self._update_listeners: list = []
-        #: Guards listener (un)registration; see
-        #: :meth:`register_update_listener` for the snapshot semantics.
-        self._listener_lock = threading.Lock()
+        #: The transaction manager, created by the first
+        #: ``db.transaction()``.  Once it exists every elementary update
+        #: ('set' | 'insert' | 'remove' | 'create' | 'delete') is handed
+        #: to its ``on_update`` for the undo log.
+        self._transactions: TransactionManager | None = None
         self._wal: WriteAheadLog | ShardedWriteAheadLog | None = None
         self._wal_suppress = 0
         #: The background revalidation pool (``config.workers > 0``);
@@ -329,18 +326,9 @@ class ObjectBase:
         return self._gmr is not None
 
     @property
-    def asr_manager(self):
-        """The Access Support Relation manager (created on first use)."""
-        if not hasattr(self, "_asr_manager"):
-            from repro.asr.manager import ASRManager
-
-            self._asr_manager = ASRManager(self)
-        return self._asr_manager
-
-    @property
     def transactions(self):
         """The transaction manager (created on first use)."""
-        if not hasattr(self, "_transactions"):
+        if self._transactions is None:
             from repro.gom.transactions import TransactionManager
 
             self._transactions = TransactionManager(self)
@@ -429,7 +417,7 @@ class ObjectBase:
         Entered (under the global update lock) by every elementary
         update wrapper of a sharded base.  The epoch increments at the
         start and end of the *outermost* update only — nested elementary
-        updates issued by listeners or invoked method bodies keep it odd
+        updates issued by invoked method bodies keep it odd
         for the whole composite mutation, which is the invariant the
         drain-side conflict check relies on.
         """
@@ -606,7 +594,7 @@ class ObjectBase:
         """Re-execute a logged ``create`` under its original OID.
 
         Runs the full elementary-create path (indexes, GMR extension
-        adaptation, listeners) so recovery maintains derived structures
+        adaptation) so recovery maintains derived structures
         exactly like the live run did.
         """
         obj = self.objects.restore(
@@ -789,8 +777,9 @@ class ObjectBase:
 
     def _delete_impl(self, target: Handle | Oid) -> None:
         oid = unwrap(target)
-        if hasattr(self, "_transactions"):
-            self._transactions.check_delete_allowed(oid)
+        transactions = self._transactions
+        if transactions is not None:
+            transactions.check_delete_allowed(oid)
         obj = self.objects.get(oid)
         self._wal_log({"kind": "delete", "oid": oid.value})
         gmr = self._gmr
@@ -808,9 +797,8 @@ class ObjectBase:
                 gmr.forget_object(oid)
         self._index_drop_object(obj)
         self.objects.delete(oid)
-        # Listeners fire after the object is gone so derived structures
-        # recompute against the post-delete state.
-        self._fire_listeners("delete", oid, obj.type_name, None, None, None)
+        if transactions is not None:
+            transactions.on_update("delete", oid, None, None, None)
 
     def handle(self, oid: Oid | Handle) -> Handle:
         return Handle(self, unwrap(oid))
@@ -927,7 +915,8 @@ class ObjectBase:
                 index.remove(old, oid)
             if raw is not None:
                 index.insert(raw, oid)
-        self._fire_listeners("set", oid, decl_type, attr, old, raw)
+        if self._transactions is not None:
+            self._transactions.on_update("set", oid, attr, old, raw)
         self._notify_update(obj, decl_type, attr, exclude)
 
     def collection_insert(
@@ -987,9 +976,8 @@ class ObjectBase:
         else:
             obj.elements.insert(position, raw)
         self.buffer.touch(obj.placement.page_id, write=True)
-        self._fire_listeners(
-            "insert", oid, obj.type_name, ELEMENTS_ATTR, None, raw
-        )
+        if self._transactions is not None:
+            self._transactions.on_update("insert", oid, ELEMENTS_ATTR, None, raw)
         self._notify_update(obj, obj.type_name, ELEMENTS_ATTR, exclude)
 
     def collection_remove(self, target: Handle | Oid, element: Any) -> None:
@@ -1034,9 +1022,10 @@ class ObjectBase:
         self.buffer.touch(obj.placement.page_id, write=True)
         # ``new`` carries the removal index so transaction rollback can
         # restore list order exactly.
-        self._fire_listeners(
-            "remove", oid, obj.type_name, ELEMENTS_ATTR, raw, removed_at
-        )
+        if self._transactions is not None:
+            self._transactions.on_update(
+                "remove", oid, ELEMENTS_ATTR, raw, removed_at
+            )
         self._notify_update(obj, obj.type_name, ELEMENTS_ATTR, exclude)
 
     def _compensate_if_registered(
@@ -1131,46 +1120,8 @@ class ObjectBase:
         gmr = self._gmr
         if gmr is not None and self.level.notifies:
             gmr.new_object(obj.oid, obj.type_name)
-        self._fire_listeners("create", obj.oid, obj.type_name, None, None, None)
-
-    # ------------------------------------------------------------------
-    # Update listeners (derived structures outside the GMR manager)
-    # ------------------------------------------------------------------
-
-    def register_update_listener(self, listener) -> None:
-        """Register a callable invoked after every elementary update.
-
-        Thread-safe via copy-on-write: (un)registration builds a *new*
-        list under ``_listener_lock`` and swaps it in atomically, so a
-        concurrent :meth:`_fire_listeners` iterates its own immutable
-        snapshot.  Consequence (documented, not a bug): a listener
-        unregistered while a dispatch is in flight may still receive
-        that one event; a listener registered mid-dispatch sees only
-        subsequent events.
-        """
-        with self._listener_lock:
-            self._update_listeners = self._update_listeners + [listener]
-
-    def unregister_update_listener(self, listener) -> None:
-        with self._listener_lock:
-            remaining = list(self._update_listeners)
-            remaining.remove(listener)
-            self._update_listeners = remaining
-
-    def _fire_listeners(self, kind, oid, type_name, attr, old, new) -> None:
-        # Dispatch runs outside any listener lock on purpose: listeners
-        # may re-enter the object base (derived-structure maintenance)
-        # or (un)register listeners.  The attribute read is one atomic
-        # reference load and the list is never mutated in place
-        # (copy-on-write above), so iterating the snapshot is safe even
-        # while another thread re-registers.  In MT mode updates hold
-        # the object base's update lock, so listeners observe updates
-        # serialized exactly like the single-threaded dispatch.
-        listeners = self._update_listeners
-        if not listeners:
-            return
-        for listener in listeners:
-            listener(kind, oid, type_name, attr, old, new)
+        if self._transactions is not None:
+            self._transactions.on_update("create", obj.oid, None, None, None)
 
     # ------------------------------------------------------------------
     # Collection reads
@@ -1320,15 +1271,15 @@ class ObjectBase:
         # Sec. 5.3 information hiding, or an effect a compensating action
         # already handled: the body's elementary updates stay silent and
         # this operation performs the single invalidation afterwards.
-        hidden = gmr is not None and (
-            bool(compensated)
-            or (strict and level is InstrumentationLevel.INFO_HIDING)
-        )
+        encapsulated = strict and level is InstrumentationLevel.INFO_HIDING
+        hidden = gmr is not None and (bool(compensated) or encapsulated)
         post_invalidate = hidden and not state.suppress_depth and notifies
         # Record the strictly-encapsulated receiver as one opaque unit
         # while tracing ("only this object, but none of its subobjects,
-        # have to be marked", Sec. 5.3).
-        opaque = strict and bool(state.tracers)
+        # have to be marked", Sec. 5.3) — only where the post-operation
+        # invalidation above exists.  Below INFO_HIDING strictness is
+        # access control only and sub-objects are traced as usual.
+        opaque = encapsulated and bool(state.tracers)
 
         if opaque:
             if not state.opaque_depth:

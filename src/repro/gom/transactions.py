@@ -2,7 +2,7 @@
 
 GOM applications group updates; an aborted group must leave the object
 base — *including every derived structure* (GMR extensions, RRR,
-ObjDepFct markings, ASRs, attribute indexes) — as if it never ran.  The
+ObjDepFct markings, attribute indexes) — as if it never ran.  The
 implementation records an undo log of inverse elementary updates and
 replays it in reverse through the ordinary instrumented update paths, so
 the schema-rewrite notification machinery maintains the materializations
@@ -43,7 +43,7 @@ class Transaction:
         self.active = False
         self.rolled_back = False
 
-    # -- logging (called from the update listener) ---------------------------------
+    # -- logging (called from TransactionManager.on_update) ------------------------
 
     def record(self, kind: str, oid: Oid, attr: str | None, old: Any, new: Any) -> None:
         if kind == "set":
@@ -96,12 +96,11 @@ class TransactionManager:
         self._stack: list[Transaction] = []
         #: Suppresses undo-recording while inverse updates are replayed.
         #: A plain (unlocked) flag: rollback runs under the object base's
-        #: update lock, and the listener that reads it fires from update
+        #: update lock, and :meth:`on_update` is called from update
         #: paths holding the same lock — so the flag is only ever read by
         #: the thread that set it.  Single-threaded mode trivially
         #: satisfies the same invariant.
         self._rolling_back = False
-        db.register_update_listener(self._on_update)
 
     @property
     def depth(self) -> int:
@@ -111,7 +110,8 @@ class TransactionManager:
     def in_transaction(self) -> bool:
         return bool(self._stack)
 
-    def _on_update(self, kind, oid, type_name, attr, old, new) -> None:
+    def on_update(self, kind, oid, attr, old, new) -> None:
+        """Called by the object base after every elementary update."""
         if self._rolling_back or not self._stack:
             return
         if kind == "delete":

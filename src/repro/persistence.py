@@ -133,7 +133,7 @@ def to_document(db: "ObjectBase") -> dict:
             "cannot dump while a batch scope is open: pending maintenance "
             "events are not persistable — exit the batch (flush) first"
         )
-    if hasattr(db, "_transactions") and db._transactions.in_transaction:
+    if db._transactions is not None and db._transactions.in_transaction:
         raise PersistenceError(
             "cannot dump inside an open transaction: commit or abort first"
         )
@@ -206,7 +206,6 @@ def to_document(db: "ObjectBase") -> dict:
                     "strategy": gmr.strategy.value,
                     "storage": gmr.store.storage,
                     "capacity": gmr.capacity,
-                    "row_placement": gmr.row_placement,
                     "restricted": gmr.restriction is not None,
                     "rows": rows,
                 }
@@ -343,14 +342,33 @@ def from_document(
                 f"GMR {entry['name']} is restricted; pass its "
                 f"RestrictionSpec via restrictions={{...}}"
             )
+        # A checkpoint is outside input: a strategy or row placement
+        # this version does not implement (older ones wrote
+        # ``"strategy": "snapshot"`` and ``"row_placement":
+        # "with_arguments"``) is refused by name, not by a raw
+        # ValueError/TypeError.  ``"row_placement": "separate"`` names
+        # the one placement there is and is ignored.
+        try:
+            strategy = Strategy(entry["strategy"])
+        except ValueError:
+            raise PersistenceError(
+                f"GMR {entry['name']}: unknown strategy "
+                f"{entry['strategy']!r} (known: "
+                f"{', '.join(member.value for member in Strategy)})"
+            ) from None
+        if entry.get("row_placement", "separate") != "separate":
+            raise PersistenceError(
+                f"GMR {entry['name']}: unsupported row_placement "
+                f"{entry['row_placement']!r} (rows are always stored in "
+                f"the GMR's own segment)"
+            )
         gmr = manager.materialize(
             [(fn["type"], fn["op"]) for fn in entry["functions"]],
             complete=entry["complete"],
-            strategy=Strategy(entry["strategy"]),
+            strategy=strategy,
             storage=entry["storage"],
             name=entry["name"],
             capacity=entry.get("capacity"),
-            row_placement=entry.get("row_placement", "separate"),
             restriction=restriction,
             populate=False,
         )

@@ -88,23 +88,16 @@ class GMRStore:
         buffer: BufferManager | None = None,
         *,
         storage: str = "auto",
-        row_segment: str | None = None,
     ) -> None:
-        """``row_segment`` overrides where rows are placed.
-
-        By default rows cluster in a private segment ("separate caching",
-        the choice the paper justifies via Jhingran's CS-vs-CT analysis);
-        passing an object type's segment stores results *near the
-        argument objects* instead (the CT alternative) — rows then share
-        pages with objects, which removes the clustering benefit for
-        result scans.  Used by the storage ablation benchmark.
-        """
+        """Rows cluster in a private segment ``gmr:<name>`` — "separate
+        caching", the choice the paper justifies via Jhingran's CS-vs-CT
+        analysis."""
         if storage not in ("auto", "mds", "columns"):
             raise ValueError(f"unknown storage mode {storage!r}")
         self.name = name
         self.arg_count = arg_count
         self.fct_count = fct_count
-        self.row_segment = row_segment or f"gmr:{name}"
+        self._segment = f"gmr:{name}"
         self._pages = page_store
         self._buffer = buffer
         #: The GMR-entry lock table (a
@@ -210,7 +203,7 @@ class GMRStore:
         if row is None:
             placement = (
                 self._pages.place(
-                    self.row_segment,
+                    self._segment,
                     _ROW_BASE_SIZE + _FIELD_SIZE * (self.arg_count + self.fct_count),
                 )
                 if self._pages is not None

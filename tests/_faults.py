@@ -264,12 +264,8 @@ def check_consistency(db, *, injectors=()) -> list[str]:
     with contextlib.ExitStack() as stack:
         for injector in injectors:
             stack.enter_context(injector.pause())
-        from repro.core.strategies import Strategy
-
         manager = db.gmr_manager
         for gmr in manager.gmrs():
-            if gmr.strategy is Strategy.SNAPSHOT:
-                continue  # snapshots are stale by design
             violations.extend(gmr.check_consistency(db))
             for fid in gmr.fids:
                 for args in gmr.error_args(fid):

@@ -52,7 +52,6 @@ STRATEGIES = [
     Strategy.IMMEDIATE,
     Strategy.LAZY,
     Strategy.DEFERRED,
-    Strategy.SNAPSHOT,
 ]
 
 #: A fixed update script covering every rewritten elementary update —
@@ -157,10 +156,7 @@ class _Harness:
         )
 
     def check_consistency(self):
-        """Def. 3.2 consistency — inapplicable to snapshot GMRs, which
-        deliberately serve stale values between refreshes."""
-        if self.strategy is Strategy.SNAPSHOT:
-            return []
+        """Def. 3.2 consistency."""
         return self.gmr.check_consistency(self.db)
 
     def forward_results(self):
@@ -224,17 +220,10 @@ def test_batched_equals_unbatched_every_level_and_strategy(level, strategy):
     assert batched.queried == plain.queried
     assert batched.check_consistency() == []
     # The batched run must have actually coalesced something on this
-    # script (repeated touches of the same cuboids).  Snapshot GMRs
-    # register no update dependencies, so only the unconditional NAIVE
-    # notifications produce coalescable traffic for them.
+    # script (repeated touches of the same cuboids).
     assert batched.db.gmr_manager.stats.batched_invalidations > 0
-    if strategy is not Strategy.SNAPSHOT:
-        assert batched.db.gmr_manager.stats.rrr_probes_saved > 0
+    assert batched.db.gmr_manager.stats.rrr_probes_saved > 0
     # (c) the recompute-everything oracle agrees with forward queries.
-    # Snapshot GMRs serve deliberately stale values until refreshed.
-    if strategy is Strategy.SNAPSHOT:
-        assert batched.forward_results() == plain.forward_results()
-        batched.db.gmr_manager.refresh_snapshot(batched.gmr)
     assert batched.forward_results() == batched.oracle_results()
 
 
@@ -248,13 +237,9 @@ def test_deferred_drain_matches_unbatched_revalidation(strategy):
     batched, _ = _boundary_states(
         InstrumentationLevel.OBJ_DEP, strategy, _SCRIPT, batch_size=6
     )
-    if strategy is Strategy.SNAPSHOT:
-        for harness in (plain, batched):
-            harness.db.gmr_manager.refresh_snapshot(harness.gmr)
-    else:
-        for harness in (plain, batched):
-            harness.db.gmr_manager.scheduler.revalidate()
-            harness.db.gmr_manager.revalidate(harness.gmr)
+    for harness in (plain, batched):
+        harness.db.gmr_manager.scheduler.revalidate()
+        harness.db.gmr_manager.revalidate(harness.gmr)
     assert batched.state() == plain.state()
     for args, valid, _values in batched.state():
         assert all(valid), f"invalid entry left for {args}"

@@ -87,6 +87,9 @@ class _Driver:
         self.fixture = build_figure2_database(self.db)
         self.cuboids = list(self.fixture.cuboids)
         self.strict = strict
+        #: Sub-objects of a strict Cuboid are hidden from maintenance
+        #: only at INFO_HIDING; below it strictness is access control.
+        self.hidden = strict and level is InstrumentationLevel.INFO_HIDING
         self.gmrs = [
             self.db.materialize(
                 [("Cuboid", "volume"), ("Cuboid", "weight")], strategy=strategy
@@ -115,7 +118,7 @@ class _Driver:
             cuboid.translate(create_vertex(db, magnitude, -magnitude, 0.0))
         elif code == "set_value" and cuboid is not None:
             cuboid.set_Value(magnitude * 10.0)
-        elif code == "set_mat" and cuboid is not None:
+        elif code == "set_mat" and cuboid is not None and not self.strict:
             material = fixture.iron if selector % 2 else fixture.gold
             cuboid.set_Mat(material)
         elif code == "set_vertex" and cuboid is not None:
@@ -149,9 +152,9 @@ class _Driver:
         elif code == "q_total":
             fixture.workpieces.total_volume()
             fixture.valuables.total_value()
-        elif code == "rename_material" and not self.strict:
+        elif code == "rename_material" and not self.hidden:
             fixture.iron.set_Name("Iron" if selector % 2 else "Fe")
-        elif code == "respec_material" and not self.strict:
+        elif code == "respec_material" and not self.hidden:
             fixture.iron.set_SpecWeight(7.86 * magnitude)
 
     def check_invariants(self) -> None:
@@ -177,6 +180,11 @@ _CONFIGS = [
     (InstrumentationLevel.SCHEMA_DEP, Strategy.LAZY, False),
     (InstrumentationLevel.OBJ_DEP, Strategy.IMMEDIATE, False),
     (InstrumentationLevel.OBJ_DEP, Strategy.LAZY, False),
+    # Strict encapsulation below INFO_HIDING (ROADMAP 6a): sub-objects
+    # must still be traced, or a scaled cuboid keeps a VALID stale row.
+    (InstrumentationLevel.NAIVE, Strategy.IMMEDIATE, True),
+    (InstrumentationLevel.SCHEMA_DEP, Strategy.LAZY, True),
+    (InstrumentationLevel.OBJ_DEP, Strategy.IMMEDIATE, True),
 ]
 
 

@@ -1,16 +1,10 @@
 """Tests for the optional/extension features beyond the paper's core:
-manager statistics, capped cache GMRs, second-chance RRR maintenance,
-row-placement options and blind-row vacuuming."""
+manager statistics, capped cache GMRs and blind-row vacuuming."""
 
 import pytest
 
-from repro import ObjectBase, Strategy
-from repro.domains.geometry import (
-    build_figure2_database,
-    build_geometry_schema,
-    create_cuboid,
-    create_vertex,
-)
+from repro import Strategy
+from repro.domains.geometry import create_vertex
 from repro.errors import GMRDefinitionError
 
 
@@ -126,92 +120,6 @@ class TestCappedCacheGMR:
         points[-1].set_X(100.0)
         assert points[-1].norm() == 100.0
         assert gmr.check_consistency(point_db) == []
-
-
-class TestSecondChanceRRR:
-    def _setup(self, strategy=Strategy.IMMEDIATE):
-        db = ObjectBase()
-        build_geometry_schema(db)
-        fixture = build_figure2_database(db)
-        gmr = db.materialize([("Cuboid", "volume")], strategy=strategy)
-        db.gmr_manager.rrr_policy = "second_chance"
-        return db, fixture, gmr
-
-    def test_immediate_remat_unmarks(self):
-        db, fixture, gmr = self._setup()
-        c1 = fixture.cuboids[0]
-        v1 = db.objects.get(c1.oid).data["V1"]
-        db.handle(v1).set_X(3.0)
-        # The entry was marked and then re-inserted by the remat: unmarked.
-        assert not db.gmr_manager.rrr.is_marked(v1, "Cuboid.volume", (c1.oid,))
-        assert gmr.check_consistency(db) == []
-
-    def test_lazy_keeps_mark_until_reaccess(self):
-        db, fixture, gmr = self._setup(strategy=Strategy.LAZY)
-        c1 = fixture.cuboids[0]
-        v1 = db.objects.get(c1.oid).data["V1"]
-        db.handle(v1).set_X(3.0)
-        assert db.gmr_manager.rrr.is_marked(v1, "Cuboid.volume", (c1.oid,))
-        c1.volume()  # rematerializes and unmarks
-        assert not db.gmr_manager.rrr.is_marked(v1, "Cuboid.volume", (c1.oid,))
-        assert gmr.check_consistency(db) == []
-
-    def test_stale_marked_entry_dropped_on_second_round(self):
-        db, fixture, gmr = self._setup(strategy=Strategy.LAZY)
-        c1 = fixture.cuboids[0]
-        v1 = db.objects.get(c1.oid).data["V1"]
-        handle = db.handle(v1)
-        handle.set_X(3.0)   # round 1: mark
-        handle.set_X(4.0)   # round 2: marked entry is a leftover → removed
-        assert db.gmr_manager.rrr.args_of(v1, "Cuboid.volume") == set()
-        assert "Cuboid.volume" not in db.objects.get(v1).obj_dep_fct
-        assert gmr.check_consistency(db) == []
-
-    def test_policies_reach_same_final_state(self):
-        """Differential check: remove vs. second-chance maintenance end
-        in identical GMR extensions after the same update sequence."""
-        results = {}
-        for policy in ("remove", "second_chance"):
-            db = ObjectBase()
-            build_geometry_schema(db)
-            fixture = build_figure2_database(db)
-            gmr = db.materialize([("Cuboid", "volume")])
-            db.gmr_manager.rrr_policy = policy
-            fixture.cuboids[0].scale(create_vertex(db, 2.0, 1.0, 1.0))
-            fixture.cuboids[1].rotate("y", 0.3)
-            fixture.cuboids[2].translate(create_vertex(db, 1.0, 1.0, 1.0))
-            assert gmr.check_consistency(db) == []
-            results[policy] = sorted(
-                (row.args[0].value, round(row.results[0], 9))
-                for row in gmr.rows()
-            )
-        assert results["remove"] == results["second_chance"]
-
-
-class TestRowPlacement:
-    def test_with_arguments_places_rows_on_object_pages(self, geometry_db):
-        db, fixture = geometry_db
-        gmr = db.materialize(
-            [("Cuboid", "volume")], row_placement="with_arguments"
-        )
-        cuboid_pages = {
-            db.objects.get(cuboid.oid).placement.page_id
-            for cuboid in fixture.cuboids
-        }
-        row_pages = {row.placement.page_id for row in gmr.rows()}
-        # Rows share the Cuboid segment, i.e. its open page.
-        assert gmr.store.row_segment == "Cuboid"
-        assert gmr.check_consistency(db) == []
-
-    def test_separate_is_default(self, geometry_db):
-        db, _ = geometry_db
-        gmr = db.materialize([("Cuboid", "volume")])
-        assert gmr.store.row_segment == "gmr:<<volume>>"
-
-    def test_unknown_placement_rejected(self, geometry_db):
-        db, _ = geometry_db
-        with pytest.raises(GMRDefinitionError):
-            db.materialize([("Cuboid", "volume")], row_placement="wherever")
 
 
 class TestVacuum:

@@ -3,8 +3,8 @@
 The paper's refinements (Figure 4 → Figure 5 → information hiding) are
 *performance* optimisations: they must never change what ends up in the
 GMR.  This test replays identical random operation sequences under every
-notifying instrumentation level (and both RRR policies) and asserts the
-final GMR extensions are value-identical.
+notifying instrumentation level (with and without strict encapsulation
+of ``Cuboid``) and asserts the final GMR extensions are value-identical.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ _OPS = st.lists(
 )
 
 
-def _run(level: InstrumentationLevel, ops, *, rrr_policy: str = "remove"):
+def _run(level: InstrumentationLevel, ops, *, strict: bool = False):
     db = ObjectBase(level=level)
-    build_geometry_schema(db)
+    build_geometry_schema(db, strict_cuboids=strict)
     fixture = build_figure2_database(db)
     gmr = db.materialize([("Cuboid", "volume"), ("Cuboid", "weight")])
-    db.gmr_manager.rrr_policy = rrr_policy
     cuboids = list(fixture.cuboids)
     for code, selector, magnitude in ops:
         cuboid = cuboids[selector % len(cuboids)] if cuboids else None
@@ -92,7 +91,16 @@ def test_all_notifying_levels_agree(ops):
 @settings(
     max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
-def test_rrr_policies_agree(ops):
-    reference = _run(InstrumentationLevel.OBJ_DEP, ops, rrr_policy="remove")
-    second = _run(InstrumentationLevel.OBJ_DEP, ops, rrr_policy="second_chance")
-    assert second == reference
+def test_strict_encapsulation_agrees_at_every_level(ops):
+    """Strictness (Sec. 5.3) is access control below ``INFO_HIDING`` and
+    one post-operation invalidation at it — the extension is the same.
+    Only updates the strict public clause offers are replayed."""
+    ops = [op for op in ops if op[0] not in ("set_mat", "set_vertex")]
+    reference = _run(InstrumentationLevel.NAIVE, ops)
+    for level in (
+        InstrumentationLevel.NAIVE,
+        InstrumentationLevel.SCHEMA_DEP,
+        InstrumentationLevel.OBJ_DEP,
+        InstrumentationLevel.INFO_HIDING,
+    ):
+        assert _run(level, ops, strict=True) == reference

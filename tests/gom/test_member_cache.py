@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from repro import ObjectBase
+from repro import InstrumentationLevel, ObjectBase
 from repro.errors import EncapsulationError, NoSuchObjectError
 
 
@@ -60,6 +60,9 @@ class TestCoherence:
         assert db.new("Account").describe() == "account"
 
     def test_strict_encapsulation_reaches_cached_operation(self, db):
+        # Opaque tracing exists only where the post-operation
+        # invalidation does: at INFO_HIDING.
+        db.level = InstrumentationLevel.INFO_HIDING
         db.make_public("Account", "audit")
         account = db.new("Account", Balance=1.0)
         with db.trace() as before:

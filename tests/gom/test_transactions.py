@@ -108,15 +108,6 @@ class TestRollback:
         assert len(gmr) == count_before
         assert gmr.is_complete(db)
 
-    def test_rollback_restores_asr(self, setting):
-        db, fixture, _ = setting
-        asr = db.asr_manager.materialize_path("Cuboid", "Mat", "Name")
-        with db.transaction() as txn:
-            fixture.cuboids[0].set_Mat(fixture.gold)
-            txn.abort()
-        assert asr.forward(fixture.cuboids[0]) == "Iron"
-        assert asr.check_consistency() == []
-
     def test_rollback_in_reverse_order(self, setting):
         db, fixture, _ = setting
         cuboid = fixture.cuboids[0]

@@ -15,12 +15,17 @@ Two layers:
 """
 
 import dataclasses
+import importlib
+import inspect
+import itertools
 import json
 import os
 
 import pytest
 
+from repro import GMR, GMRManager, ObjectBase, Strategy
 from repro.fuzz import (
+    Replayer,
     all_configs,
     check_script,
     configs_for_script,
@@ -67,6 +72,73 @@ def test_matrix_is_the_whole_configuration_surface():
         "level", "strategy", "batching", "fault_policy", "observe",
         "workers", "shards", "maintenance",
     ]
+
+
+def test_option_surface_outside_the_config_is_closed():
+    """The second option surface — ``materialize()`` keywords, strategy
+    members, settable manager attributes, subscription APIs, extension
+    packages — holds exactly what is left after the deletions, so none
+    of it can grow back without failing here."""
+    keyword_only = {
+        name
+        for name, parameter in inspect.signature(
+            GMRManager.materialize
+        ).parameters.items()
+        if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+    }
+    assert keyword_only == {
+        "complete", "strategy", "restriction", "storage", "name",
+        "populate", "capacity",
+    }
+    assert set(Strategy) == {
+        Strategy.IMMEDIATE, Strategy.LAZY, Strategy.DEFERRED,
+    }
+    db = ObjectBase()
+    for removed in ("rrr_policy", "refresh_snapshot"):
+        assert not hasattr(db.gmr_manager, removed)
+    for removed in ("asr_manager", "register_update_listener"):
+        assert not hasattr(db, removed)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.asr")
+
+
+class _MixedStrategyReplayer(Replayer):
+    """Materializes the script's GMRs under rotating strategies and
+    keeps the base the invariant sweep ran on."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self._strategies = itertools.cycle(Strategy)
+        self.swept_db = None
+
+    def _op_materialize(self, step):
+        self.db.config.strategy = next(self._strategies)
+        super()._op_materialize(step)
+
+    def _settle(self):
+        super()._settle()
+        self.swept_db = self.db
+
+
+def test_invariant_sweep_exempts_no_gmr(monkeypatch):
+    """The Def. 3.2 oracle recomputes *every* GMR of a replayed base,
+    whatever its strategy — a "stale by design" strategy cannot
+    re-introduce a blind spot without failing here."""
+    checked = []
+    check_consistency = GMR.check_consistency
+
+    def counting(gmr, db):
+        checked.append(gmr.name)
+        return check_consistency(gmr, db)
+
+    monkeypatch.setattr(GMR, "check_consistency", counting)
+    replayer = _MixedStrategyReplayer(
+        corpus_script("geometry-restricted-batch-recover.json")
+    )
+    assert replayer.run().violations == []
+    gmrs = replayer.swept_db.gmr_manager.gmrs()
+    assert len({gmr.strategy for gmr in gmrs}) >= 2
+    assert sorted(checked) == sorted(gmr.name for gmr in gmrs)
 
 
 class TestFixedSeedSmoke:

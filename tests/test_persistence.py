@@ -305,6 +305,48 @@ class TestRemovedLayoutKey:
         assert base_state(recovered) == base_state(db)
 
 
+class TestRemovedGmrSpellings:
+    """A checkpoint is outside input: a spelling this version does not
+    implement is refused with a ``PersistenceError`` naming the GMR and
+    the field, never a raw ``ValueError`` / ``TypeError``."""
+
+    @staticmethod
+    def _document(geometry_db, **fields):
+        db, _ = geometry_db
+        db.materialize([("Cuboid", "volume")])
+        document = to_document(db)
+        (entry,) = document["gmrs"]
+        entry.update(fields)
+        return db, document
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("strategy", "snapshot"),
+            ("strategy", "eventually"),
+            ("row_placement", "with_arguments"),
+        ],
+    )
+    def test_unimplemented_spelling_is_refused_by_name(
+        self, geometry_db, field, value
+    ):
+        _, document = self._document(geometry_db, **{field: value})
+        with pytest.raises(PersistenceError) as raised:
+            from_document(fresh_db(), document)
+        message = str(raised.value)
+        assert "<<volume>>" in message
+        assert field in message and value in message
+
+    def test_separate_row_placement_from_older_checkpoints_loads(self, geometry_db):
+        db, document = self._document(geometry_db)
+        (entry,) = document["gmrs"]
+        assert "row_placement" not in entry
+        entry["row_placement"] = "separate"
+        reloaded = fresh_db()
+        from_document(reloaded, document)
+        assert base_state(reloaded) == base_state(db)
+
+
 class TestOidAllocatorRoundTrip:
     """OIDs burned by deleted objects must stay burned after a reload.
 
