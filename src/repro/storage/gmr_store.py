@@ -11,9 +11,17 @@ per the paper:
 * otherwise, per-function B+ tree indexes over the result columns ("more
   conventional indexing schemes ... for GMRs of higher arity").
 
-Only *valid*, scalar results are indexed; invalidating a result removes
-it from the access path, revalidating reinserts it, so backward range
+Only *valid*, scalar results are indexed, and only orderable ones (not
+NaN, which fails every comparison); invalidating a result removes it
+from the access path, revalidating reinserts it, so backward range
 lookups never return stale values.
+
+A grid-file point needs *every* column valid and orderable.  The rows
+that are valid for some column but are not a point — the *residual* —
+are tracked as they change (:meth:`GMRStore.set_result`,
+:meth:`~GMRStore.mark_invalid`, :meth:`~GMRStore.mark_error`,
+:meth:`~GMRStore.remove_row`), so a backward query reads the grid file
+plus that set and never walks the whole row table.
 """
 
 from __future__ import annotations
@@ -40,7 +48,9 @@ _SCALAR_TYPES = (int, float, str, bool)
 
 
 def _is_scalar(value: Any) -> bool:
-    return isinstance(value, _SCALAR_TYPES)
+    """Can ``value`` be put into an ordered access path?  NaN cannot:
+    it compares false against everything, so every range would take it."""
+    return isinstance(value, _SCALAR_TYPES) and value == value
 
 
 class GMRRow:
@@ -112,6 +122,9 @@ class GMRStore:
         self._errors: list[set[tuple]] = [set() for _ in range(fct_count)]
         #: Per column, the scalar result stored last (None: none yet).
         self._samples: list[Any] = [None] * fct_count
+        #: MDS mode: args of rows valid for some column but not a grid
+        #: point (a column invalid, or a result not orderable).
+        self._residual: set[tuple] = set()
         if storage == "auto":
             storage = (
                 "mds" if arg_count + fct_count <= MDS_DIMENSION_LIMIT else "columns"
@@ -179,9 +192,18 @@ class GMRStore:
             if index is not None and _is_scalar(new):
                 index.insert(new, row.args)
         elif self._mds is not None:
+            # The row is valid for ``fct_index`` now: a grid point, or
+            # residual.
             point = self._mds_point(row)
+            residual = self._residual
             if point is not None:
                 self._mds.insert(point, row.args)
+                # Emptiness first: hashing ``args`` costs a Python call
+                # per Oid, and the set is empty unless rows are partial.
+                if residual and row.args in residual:
+                    residual.remove(row.args)
+            else:
+                residual.add(row.args)
 
     # -- row lifecycle --------------------------------------------------------------
 
@@ -222,6 +244,9 @@ class GMRStore:
             if row is None:
                 return False
             self._touch_row(row, write=True)
+            residual = self._residual
+            if residual and args in residual:
+                residual.remove(args)
             had_all = all(row.valid)
             for fct_index in range(self.fct_count):
                 if row.valid[fct_index]:
@@ -249,7 +274,7 @@ class GMRStore:
             row.valid[fct_index] = True
             # A class test, not _is_scalar: no call on the update hot path
             # (a subclass instance is simply not taken as the sample).
-            if value.__class__ in _SCALAR_TYPES:
+            if value.__class__ in _SCALAR_TYPES and value == value:
                 self._samples[fct_index] = value
             if row.support:
                 row.support.pop(fct_index, None)
@@ -270,6 +295,13 @@ class GMRStore:
             had_all = all(row.valid)
             self._index_remove(row, fct_index, had_all=had_all)
             row.valid[fct_index] = False
+            if self._mds is not None:
+                # No grid point now; residual while another column is valid.
+                residual = self._residual
+                if True in row.valid:
+                    residual.add(args)
+                elif residual and args in residual:
+                    residual.remove(args)
             if row.support:
                 row.support.pop(fct_index, None)
             self._invalid[fct_index].add(args)
@@ -294,6 +326,12 @@ class GMRStore:
                 had_all = all(row.valid)
                 self._index_remove(row, fct_index, had_all=had_all)
                 row.valid[fct_index] = False
+                if self._mds is not None:
+                    residual = self._residual
+                    if True in row.valid:
+                        residual.add(args)
+                    elif residual and args in residual:
+                        residual.remove(args)
                 self._invalid[fct_index].add(args)
                 changed = True
             if not row.error[fct_index]:
@@ -424,8 +462,8 @@ class GMRStore:
     ) -> Iterator[tuple[Any, tuple]]:
         """Yield ``(result, args)`` for valid results within the range.
 
-        Uses the MDS or the per-column B+ tree; falls back to a row scan
-        for non-scalar results.
+        Uses the MDS plus the tracked residual rows, or the per-column
+        B+ tree.  Results that are not orderable scalars are in no range.
         """
         if self.storage == "mds" and self._mds is not None:
             conditions: list[Any] = [None] * (self.arg_count + self.fct_count)
@@ -439,8 +477,8 @@ class GMRStore:
                 row = self._rows.get(args)
                 if row is not None and row.valid[fct_index]:
                     yield value, args
-            # Rows not fully valid are not in the MDS; surface the valid
-            # results for *this* function among them by a residual scan.
+            # Residual rows are not in the MDS; surface the valid results
+            # for *this* function among them.
             for args in self._partial_rows(fct_index):
                 row = self._rows[args]
                 value = row.results[fct_index]
@@ -457,12 +495,16 @@ class GMRStore:
         )
 
     def _partial_rows(self, fct_index: int) -> list[tuple]:
-        """Args of rows valid for ``fct_index`` but absent from the MDS."""
-        result = []
-        for args, row in self._rows.items():
-            if row.valid[fct_index] and self._mds_point(row) is None:
-                result.append(args)
-        return result
+        """Args of residual rows valid for ``fct_index``, in row order
+        (the order the residual scan touches their pages in)."""
+        residual = self._residual
+        if not residual:
+            return []
+        return [
+            args
+            for args, row in self._rows.items()
+            if args in residual and row.valid[fct_index]
+        ]
 
 
 def _in_range(

@@ -4,11 +4,12 @@ import dataclasses
 
 import pytest
 
-from repro import ObjectBase
+from repro import ObjectBase, Strategy
 from repro.domains.geometry import (
     build_geometry_schema,
     create_cuboid,
     create_material,
+    create_vertex,
 )
 from repro.gomql import run_statement
 from repro.util.rng import DeterministicRng
@@ -203,8 +204,30 @@ QFW_CALL_BUDGET = 600
 GOLDEN_SEQUENCE_BUFFER_DELTA = (420, 0, 416, 4, 2)
 GOLDEN_SEQUENCE_ROWS = [1, 1, 1, 32, 35, 38]
 
+QBW_WEIGHT = (
+    "range c: Cuboid retrieve c.CuboidID where c.weight > lo and c.weight < hi"
+)
+QBW_NARROW = {"lo": 10.0, "hi": 10.3}
+# One narrow Qbw at 2 000 cuboids measures 3 873 calls on CPython 3.11.
+# While every backward query walked all GMR rows looking for the rows the
+# grid file does not hold, it was 17 894 (about 7 calls per GMR row).
+QBW_CALL_BUDGET = 4_500
+# BufferStats deltas and row counts of the Qbw sequence below at commit
+# b509509, when that walk found the residual rows: tracking them as they
+# change reads the same rows, in the same order, on the same pages.
+RESIDUAL_SEQUENCE_BUFFER_DELTA = (619, 48, 591, 28, 12)
+RESIDUAL_SEQUENCE_ROWS = [31, 7, 50, 37, 7]
+# The second window's answer there: grid points first, then the residual
+# rows (the scaled cuboids 17 and 42) in row order.
+RESIDUAL_WINDOW_ANSWER = [5, 16, 21, 32, 45, 17, 42]
 
-def _population(count: int, **db_options) -> ObjectBase:
+
+def _population(
+    count: int,
+    functions=(("Cuboid", "volume"),),
+    strategy: Strategy | None = None,
+    **db_options,
+) -> ObjectBase:
     rng = DeterministicRng(16)
     db = ObjectBase(**db_options)
     build_geometry_schema(db)
@@ -218,7 +241,7 @@ def _population(count: int, **db_options) -> ObjectBase:
             value=float(index % 7),
             cuboid_id=index,
         )
-    db.materialize([("Cuboid", "volume")])
+    db.materialize(list(functions), strategy=strategy)
     db.create_attr_index("Cuboid", "CuboidID")
     return db
 
@@ -261,3 +284,54 @@ class TestRangeResolution:
         assert [len(answer) for answer in answers] == GOLDEN_SEQUENCE_ROWS
         delta = tuple(now - then for now, then in zip(after, before))
         assert delta == GOLDEN_SEQUENCE_BUFFER_DELTA
+
+    def test_narrow_qbw_does_not_walk_every_gmr_row(self):
+        db = _population(2_000)
+        db.query(QBW, QBW_NARROW)  # compile member plans, fault pages in
+        assert calls(lambda: db.query(QBW, QBW_NARROW)) <= QBW_CALL_BUDGET
+
+    def test_residual_rows_touch_the_pages_the_row_walk_touched(self):
+        db = _population(
+            50,
+            functions=[("Cuboid", "volume"), ("Cuboid", "weight")],
+            strategy=Strategy.LAZY,
+            buffer_pages=8,
+        )
+        for k in (3, 17, 42):
+            (cuboid,) = db.query(
+                "range c: Cuboid retrieve c where c.CuboidID = k", {"k": k}
+            )
+            cuboid.scale(create_vertex(db, 2.0, 1.0, 1.0))
+        gmr = db.gmr_manager.gmr_of("Cuboid.volume")
+        before = dataclasses.astuple(db.buffer.stats)
+        # The first Qbw revalidates volume only: the three scaled rows stay
+        # invalid for weight, so they are no grid point.
+        answers = [
+            db.query(QBW, {"lo": lo, "hi": hi})
+            for lo, hi in [(10.0, 40.0), (40.0, 130.0), (0.0, 260.0)]
+        ]
+        assert not gmr.invalid_args("Cuboid.volume")
+        assert len(gmr.invalid_args("Cuboid.weight")) == 3
+        answers.append(db.query(QBW_WEIGHT, {"lo": 100.0, "hi": 900.0}))
+        answers.append(db.query(QBW, {"lo": 40.0, "hi": 130.0}))
+        after = dataclasses.astuple(db.buffer.stats)
+        assert answers[1] == RESIDUAL_WINDOW_ANSWER
+        assert [len(answer) for answer in answers] == RESIDUAL_SEQUENCE_ROWS
+        delta = tuple(now - then for now, then in zip(after, before))
+        assert delta == RESIDUAL_SEQUENCE_BUFFER_DELTA
+
+
+class TestNaNResults:
+    def test_nan_volume_is_in_no_backward_range(self):
+        db = ObjectBase()
+        build_geometry_schema(db)
+        iron = create_material(db, "Iron", 7.86)
+        cuboids = [
+            create_cuboid(db, dims=(float(v), 1.0, 1.0), material=iron, cuboid_id=v)
+            for v in (1, 2, 3)
+        ]
+        db.materialize([("Cuboid", "volume")])
+        cuboids[2].V2.set_X(float("nan"))
+        answer = db.gmr_manager.backward_query("Cuboid.volume", 0.5, 1.5)
+        assert answer == [(1.0, (cuboids[0].oid,))]
+        assert db.query(QBW, {"lo": 0.5, "hi": 1.5}) == [1]
